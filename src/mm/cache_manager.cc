@@ -411,7 +411,8 @@ void CacheManager::FlushRange(FileObject& file, uint64_t offset, uint64_t length
   ++stats_.flush_ops;
   CcMetrics::Get().flush_ops.Inc();
   const uint64_t flush_end = length == 0 ? UINT64_MAX : offset + length;
-  const std::vector<uint64_t> dirty = pages_.DirtyPagesOf(map->node);
+  // Copy: IssuePagingWrite cleans pages, which edits the store's list.
+  dirty_scratch_ = pages_.DirtyPagesOf(map->node);
   uint64_t run_start = 0;
   uint64_t run_len = 0;
   auto flush_run = [&] {
@@ -426,7 +427,7 @@ void CacheManager::FlushRange(FileObject& file, uint64_t offset, uint64_t length
     IssuePagingWrite(*map, run_start * kPageSize, bytes, 0);
     run_len = 0;
   };
-  for (uint64_t p : dirty) {
+  for (uint64_t p : dirty_scratch_) {
     const uint64_t page_start = p * kPageSize;
     if (page_start + kPageSize <= offset || page_start >= flush_end) {
       continue;
@@ -470,6 +471,12 @@ void CacheManager::NodeDeleted(const void* node) {
     return;
   }
   ++map->generation;  // Invalidate any scheduled teardown/read-ahead work.
+  if (map->teardown_pending) {
+    // The deletion completes the teardown the lazy writer was waiting for;
+    // a stale count would keep the scan off its idle fast path.
+    assert(pending_teardowns_ > 0);
+    --pending_teardowns_;
+  }
   FileObject* holder = map->holder;
   maps_.erase(node);
   ++stats_.teardowns;
@@ -564,7 +571,7 @@ void CacheManager::LazyWriterScan() {
 }
 
 uint64_t CacheManager::WriteDirtyRuns(SharedCacheMap& map, uint64_t max_pages) {
-  const std::vector<uint64_t> dirty = pages_.DirtyPagesOf(map.node);
+  dirty_scratch_ = pages_.DirtyPagesOf(map.node);  // Copy, as in FlushRange.
   uint64_t written = 0;
   uint64_t run_start = 0;
   uint64_t run_len = 0;
@@ -584,7 +591,7 @@ uint64_t CacheManager::WriteDirtyRuns(SharedCacheMap& map, uint64_t max_pages) {
     written += run_len;
     run_len = 0;
   };
-  for (uint64_t p : dirty) {
+  for (uint64_t p : dirty_scratch_) {
     if (written + run_len >= max_pages) {
       break;
     }

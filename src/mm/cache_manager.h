@@ -191,6 +191,8 @@ class CacheManager {
   PageStore& pages() { return pages_; }
   const CacheConfig& config() const { return config_; }
   size_t active_maps() const { return maps_.size(); }
+  // Maps whose final close happened but whose teardown has not completed.
+  uint64_t pending_teardowns() const { return pending_teardowns_; }
 
  private:
   // Per-file-object read-ahead tracking (NT: PrivateCacheMap).
@@ -240,6 +242,9 @@ class CacheManager {
   // Scan scratch (reused: the scan runs once per simulated second and must
   // not allocate in the idle steady state).
   std::vector<std::pair<uint64_t, const void*>> scan_scratch_;
+  // Copy of one node's dirty list for a write-out pass (WriteDirtyRuns,
+  // FlushRange), reused so a lazy write does not allocate.
+  std::vector<uint64_t> dirty_scratch_;
   bool started_ = false;
 };
 

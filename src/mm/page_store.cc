@@ -7,9 +7,9 @@ namespace ntrace {
 
 namespace {
 
-// Sorted-vector set operations for the per-node page lists. Lists are short
-// (a node's resident/dirty pages) and pages arrive mostly in ascending
-// order, so the memmove beats per-element hash nodes by a wide margin.
+// Sorted-vector set operations for the per-node dirty lists. Lists are
+// short (a node's dirty pages) and pages arrive mostly in ascending order,
+// so the memmove beats per-element hash nodes by a wide margin.
 void SortedInsert(std::vector<uint64_t>& v, uint64_t page) {
   auto it = std::lower_bound(v.begin(), v.end(), page);
   if (it == v.end() || *it != page) {
@@ -28,14 +28,30 @@ void SortedErase(std::vector<uint64_t>& v, uint64_t page) {
 
 PageStore::PageStore(uint64_t capacity_pages) : capacity_pages_(capacity_pages) {}
 
-uint32_t PageStore::AllocSlot() {
+void PageStore::AddEntry(const PageKey& key, bool dirty, SimTime now) {
+  uint32_t s;
   if (free_head_ != kNil) {
-    const uint32_t s = free_head_;
+    s = free_head_;
     free_head_ = slots_[s].next;
-    return s;
+  } else {
+    s = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
   }
-  slots_.emplace_back();
-  return static_cast<uint32_t>(slots_.size() - 1);
+  Slot& slot = slots_[s];
+  slot.key = key;
+  slot.dirty = dirty;
+  slot.pinned = false;
+  slot.dirtied_at = now;
+  LruPushFront(s);
+  index_.emplace(key, s);
+  NodePages& list = node_pages_[key.node];
+  slot.node_prev = kNil;
+  slot.node_next = list.head;
+  if (list.head != kNil) {
+    slots_[list.head].node_prev = s;
+  }
+  list.head = s;
+  list.page_bound = std::max(list.page_bound, key.page + 1);
 }
 
 void PageStore::FreeSlot(uint32_t s) {
@@ -70,21 +86,28 @@ void PageStore::LruUnlink(uint32_t s) {
   }
 }
 
+void PageStore::NodeUnlink(uint32_t s, NodePages& list) {
+  const Slot& slot = slots_[s];
+  if (slot.node_prev != kNil) {
+    slots_[slot.node_prev].node_next = slot.node_next;
+  } else {
+    list.head = slot.node_next;
+  }
+  if (slot.node_next != kNil) {
+    slots_[slot.node_next].node_prev = slot.node_prev;
+  }
+  if (list.head == kNil) {
+    list.page_bound = 0;
+  }
+}
+
 bool PageStore::Insert(const void* node, uint64_t page, SimTime now) {
   const PageKey key{node, page};
   if (index_.find(key) != index_.end()) {
     Touch(node, page);
     return false;
   }
-  const uint32_t s = AllocSlot();
-  Slot& slot = slots_[s];
-  slot.key = key;
-  slot.dirty = false;
-  slot.pinned = false;
-  slot.dirtied_at = now;
-  LruPushFront(s);
-  index_.emplace(key, s);
-  SortedInsert(pages_by_node_[node], page);
+  AddEntry(key, /*dirty=*/false, now);
   EvictIfNeeded();
   return true;
 }
@@ -99,15 +122,7 @@ void PageStore::MarkDirty(const void* node, uint64_t page, SimTime now) {
   if (it == index_.end()) {
     // Create the entry already-dirty so concurrent eviction pressure can
     // never reclaim it between insertion and dirtying.
-    const uint32_t s = AllocSlot();
-    Slot& slot = slots_[s];
-    slot.key = key;
-    slot.dirty = true;
-    slot.pinned = false;
-    slot.dirtied_at = now;
-    LruPushFront(s);
-    index_.emplace(key, s);
-    SortedInsert(pages_by_node_[node], page);
+    AddEntry(key, /*dirty=*/true, now);
     SortedInsert(dirty_by_node_[node], page);
     ++total_dirty_;
     EvictIfNeeded();
@@ -169,70 +184,73 @@ void PageStore::Unpin(const void* node, uint64_t page) {
   }
 }
 
-void PageStore::RemoveEntry(const PageKey& key) {
-  auto it = index_.find(key);
-  assert(it != index_.end());
-  const uint32_t s = it->second;
-  if (slots_[s].dirty) {
-    assert(total_dirty_ > 0);
-    --total_dirty_;
-    auto dit = dirty_by_node_.find(key.node);
-    if (dit != dirty_by_node_.end()) {
-      SortedErase(dit->second, key.page);
+uint64_t PageStore::DropGathered() {
+  std::sort(drop_scratch_.begin(), drop_scratch_.end(),
+            [this](uint32_t a, uint32_t b) { return slots_[a].key.page < slots_[b].key.page; });
+  uint64_t dirty_discarded = 0;
+  for (uint32_t s : drop_scratch_) {
+    const Slot& slot = slots_[s];
+    if (slot.dirty) {
+      assert(total_dirty_ > 0);
+      --total_dirty_;
+      ++dirty_discarded;
     }
+    LruUnlink(s);
+    index_.erase(slot.key);
+    FreeSlot(s);
   }
-  auto pit = pages_by_node_.find(key.node);
-  if (pit != pages_by_node_.end()) {
-    SortedErase(pit->second, key.page);
-  }
-  LruUnlink(s);
-  index_.erase(it);
-  FreeSlot(s);
+  return dirty_discarded;
 }
 
 uint64_t PageStore::PurgeNode(const void* node) {
-  auto pit = pages_by_node_.find(node);
-  if (pit == pages_by_node_.end() || pit->second.empty()) {
+  auto pit = node_pages_.find(node);
+  if (pit == node_pages_.end() || pit->second.head == kNil) {
     return 0;
   }
-  // Copy first: RemoveEntry edits the per-node list as it goes.
-  drop_scratch_ = pit->second;
-  uint64_t dirty_discarded = 0;
-  for (uint64_t page : drop_scratch_) {
-    const PageKey key{node, page};
-    if (slots_[index_.at(key)].dirty) {
-      ++dirty_discarded;
-    }
-    RemoveEntry(key);
+  drop_scratch_.clear();
+  for (uint32_t s = pit->second.head; s != kNil; s = slots_[s].node_next) {
+    drop_scratch_.push_back(s);
+  }
+  pit->second = NodePages{};
+  const uint64_t dirty_discarded = DropGathered();
+  if (dirty_discarded > 0) {
+    dirty_by_node_.find(node)->second.clear();
   }
   return dirty_discarded;
 }
 
 uint64_t PageStore::TruncateNode(const void* node, uint64_t first_page_to_drop) {
-  auto pit = pages_by_node_.find(node);
-  if (pit == pages_by_node_.end() || pit->second.empty()) {
+  auto pit = node_pages_.find(node);
+  if (pit == node_pages_.end() || first_page_to_drop >= pit->second.page_bound) {
     return 0;
   }
-  const std::vector<uint64_t>& pages = pit->second;
-  const auto cut = std::lower_bound(pages.begin(), pages.end(), first_page_to_drop);
-  drop_scratch_.assign(cut, pages.end());
-  uint64_t dirty_discarded = 0;
-  for (uint64_t page : drop_scratch_) {
-    const PageKey key{node, page};
-    if (slots_[index_.at(key)].dirty) {
-      ++dirty_discarded;
+  NodePages& list = pit->second;
+  drop_scratch_.clear();
+  uint64_t kept_bound = 0;
+  for (uint32_t s = list.head; s != kNil;) {
+    const uint32_t next = slots_[s].node_next;
+    const uint64_t page = slots_[s].key.page;
+    if (page >= first_page_to_drop) {
+      NodeUnlink(s, list);
+      drop_scratch_.push_back(s);
+    } else {
+      kept_bound = std::max(kept_bound, page + 1);
     }
-    RemoveEntry(key);
+    s = next;
+  }
+  list.page_bound = kept_bound;
+  const uint64_t dirty_discarded = DropGathered();
+  if (dirty_discarded > 0) {
+    std::vector<uint64_t>& dirty = dirty_by_node_.find(node)->second;
+    dirty.erase(std::lower_bound(dirty.begin(), dirty.end(), first_page_to_drop), dirty.end());
   }
   return dirty_discarded;
 }
 
-std::vector<uint64_t> PageStore::DirtyPagesOf(const void* node) const {
+const std::vector<uint64_t>& PageStore::DirtyPagesOf(const void* node) const {
+  static const std::vector<uint64_t> kNone;
   auto it = dirty_by_node_.find(node);
-  if (it == dirty_by_node_.end()) {
-    return {};
-  }
-  return it->second;  // Maintained sorted.
+  return it == dirty_by_node_.end() ? kNone : it->second;
 }
 
 uint64_t PageStore::DirtyCountOf(const void* node) const {
@@ -253,9 +271,11 @@ void PageStore::EvictIfNeeded() {
     const bool at_front = s == lru_head_;
     const Slot& slot = slots_[s];
     const uint32_t prev = slot.prev;
-    const PageKey key = slot.key;  // RemoveEntry recycles the slot.
     if (!slot.dirty && !slot.pinned && !at_front) {
-      RemoveEntry(key);
+      NodeUnlink(s, node_pages_.find(slot.key.node)->second);
+      LruUnlink(s);
+      index_.erase(slot.key);
+      FreeSlot(s);
       ++evictions_;
     }
     if (at_front) {

@@ -81,7 +81,9 @@ class PageStore {
   uint64_t TruncateNode(const void* node, uint64_t first_page_to_drop);
 
   // All dirty pages of a node, sorted ascending (for flush/lazy-write runs).
-  std::vector<uint64_t> DirtyPagesOf(const void* node) const;
+  // The view is valid until the next mutation of the store: a caller that
+  // cleans pages while walking it must copy it first.
+  const std::vector<uint64_t>& DirtyPagesOf(const void* node) const;
   uint64_t DirtyCountOf(const void* node) const;
 
   uint64_t resident_pages() const { return index_.size(); }
@@ -98,24 +100,40 @@ class PageStore {
   struct Slot {
     PageKey key;
     SimTime dirtied_at;
-    uint32_t prev = kNil;  // LRU neighbor toward the MRU front.
-    uint32_t next = kNil;  // LRU neighbor toward the LRU tail / free chain.
+    uint32_t prev = kNil;       // LRU neighbor toward the MRU front.
+    uint32_t next = kNil;       // LRU neighbor toward the LRU tail / free chain.
+    uint32_t node_prev = kNil;  // Per-node list, toward the node's head.
+    uint32_t node_next = kNil;
     bool dirty = false;
     bool pinned = false;
   };
 
-  uint32_t AllocSlot();
+  // A node's resident pages, threaded through Slot::node_prev/node_next in
+  // insertion order (newest at the head), so insert and unlink are O(1).
+  struct NodePages {
+    uint32_t head = kNil;
+    // Exceeds every resident page index of the node. Inserts raise it and
+    // every purge/truncate walk makes it exact again, so a truncation above
+    // the node's pages returns without walking.
+    uint64_t page_bound = 0;
+  };
+
+  // Makes `key` resident as the MRU page and links it into every index.
+  void AddEntry(const PageKey& key, bool dirty, SimTime now);
   void FreeSlot(uint32_t s);
   void LruPushFront(uint32_t s);
   void LruUnlink(uint32_t s);
+  void NodeUnlink(uint32_t s, NodePages& list);
 
   // Evict clean unpinned LRU pages until under capacity. Dirty pages are
   // never evicted here (the lazy writer cleans them first); if everything is
   // dirty or pinned the store temporarily over-commits.
   void EvictIfNeeded();
 
-  // Removes one entry (must exist); updates all indexes.
-  void RemoveEntry(const PageKey& key);
+  // Removes the pages gathered in drop_scratch_ (already unlinked from
+  // their node list) in ascending page order from the LRU and the index.
+  // Returns how many of them were dirty.
+  uint64_t DropGathered();
 
   uint64_t capacity_pages_;
   std::vector<Slot> slots_;
@@ -124,12 +142,13 @@ class PageStore {
   uint32_t lru_tail_ = kNil;   // Least recently used.
   // Flat maps (DESIGN.md §9): every cached read/write probes index_, so the
   // probe must stay within one cache line instead of chasing nodes. The
-  // per-node page lists are kept sorted (pages cluster, lists are short);
-  // emptied lists keep their map entry so re-dirtying reuses capacity.
+  // per-node dirty lists are kept sorted (the lazy writer coalesces runs
+  // from them, and they stay short); emptied lists keep their map entry so
+  // re-dirtying reuses capacity.
   FlatMap<PageKey, uint32_t, PageKeyHash> index_;
-  FlatMap<const void*, std::vector<uint64_t>> pages_by_node_;
+  FlatMap<const void*, NodePages> node_pages_;
   FlatMap<const void*, std::vector<uint64_t>> dirty_by_node_;
-  std::vector<uint64_t> drop_scratch_;  // Purge/truncate work list.
+  std::vector<uint32_t> drop_scratch_;  // Purge/truncate work list (slots).
   uint64_t total_dirty_ = 0;
   uint64_t evictions_ = 0;
 };

@@ -113,8 +113,9 @@ void VmManager::DeleteSection(uint64_t section_id) {
   // lazy-write them (rare: data sections over uncached files).
   Section& s = it->second;
   if (cache_.FindMap(s.node) == nullptr && cache_.pages().DirtyCountOf(s.node) > 0) {
-    const std::vector<uint64_t> dirty = cache_.pages().DirtyPagesOf(s.node);
-    for (uint64_t p : dirty) {
+    // Copy: MarkClean below edits the store's list.
+    dirty_scratch_ = cache_.pages().DirtyPagesOf(s.node);
+    for (uint64_t p : dirty_scratch_) {
       PooledIrp irp(io_.irp_pool());
       irp->major = IrpMajor::kWrite;
       irp->flags = kIrpPagingIo;

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/base/flat_map.h"
 #include "src/mm/cache_manager.h"
@@ -96,6 +97,9 @@ class VmManager {
   VmStats stats_;
   FlatMap<uint64_t, Section> sections_;  // Probed on every mapped fault.
   uint64_t next_id_ = 1;
+  // Copy of a section's dirty list for the deletion-time flush, reused
+  // across deletions.
+  std::vector<uint64_t> dirty_scratch_;
 };
 
 }  // namespace ntrace

@@ -4,7 +4,7 @@
 
 namespace ntrace {
 
-EventId Engine::PushEvent(SimTime due, InlineFunction fn, bool periodic, SimDuration period) {
+EventId Engine::PushEvent(SimTime due, InlineFunction fn, SimDuration period) {
   uint32_t index;
   if (free_head_ != kNoSlot) {
     index = free_head_;
@@ -18,12 +18,15 @@ EventId Engine::PushEvent(SimTime due, InlineFunction fn, bool periodic, SimDura
   // landing back on the same slot, far beyond any simulated fleet.
   const EventId id = (next_generation_++ << 32) | index;
   slot.id = id;
-  slot.period = period;
-  slot.periodic = periodic;
   slot.cancelled = false;
   slot.next_free = kNoSlot;
   slot.fn = std::move(fn);
-  HeapPush(HeapEntry{due.ticks(), next_seq_++, index});
+  const HeapEntry entry{due.ticks(), next_seq_++, index};
+  if (period.ticks() > 0) {
+    timers_.push_back(Timer{entry, period});
+  } else {
+    HeapPush(entry);
+  }
   return id;
 }
 
@@ -91,14 +94,31 @@ void Engine::AdvanceBy(SimDuration latency) {
 }
 
 bool Engine::DispatchNext(SimTime limit) {
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
+  for (;;) {
+    Timer* timer = nullptr;
+    for (Timer& t : timers_) {
+      if (timer == nullptr || HeapEntryLess(t.next, timer->next)) {
+        timer = &t;
+      }
+    }
+    const bool from_timer =
+        timer != nullptr && (heap_.empty() || HeapEntryLess(timer->next, heap_.front()));
+    if (!from_timer && heap_.empty()) {
+      return false;
+    }
+    const HeapEntry top = from_timer ? timer->next : heap_.front();
     if (top.due > limit.ticks()) {
       return false;
     }
-    HeapPopRoot();
+    if (!from_timer) {
+      HeapPopRoot();
+    }
     EventSlot& slot = slots_[top.slot];
     if (slot.cancelled) {
+      if (from_timer) {
+        *timer = timers_.back();  // Unordered array: swap-remove.
+        timers_.pop_back();
+      }
       FreeSlot(top.slot);
       continue;
     }
@@ -109,11 +129,11 @@ bool Engine::DispatchNext(SimTime limit) {
     }
     ++events_dispatched_;
     current_dispatch_due_ = SimTime(top.due);
-    if (slot.periodic) {
+    if (from_timer) {
       // Re-arm before dispatch (new seq, same slot) so a Cancel from inside
-      // the callback stops the already-queued next firing -- the same order
-      // the old binary-heap engine produced.
-      HeapPush(HeapEntry{top.due + slot.period.ticks(), next_seq_++, top.slot});
+      // the callback stops the already-armed next firing, and so the next
+      // firing orders after everything scheduled before this one fired.
+      timer->next = HeapEntry{top.due + timer->period.ticks(), next_seq_++, top.slot};
       slot.fn();
     } else {
       // Invoke in place (deque slots never move), then recycle. Freeing
@@ -123,7 +143,6 @@ bool Engine::DispatchNext(SimTime limit) {
     }
     return true;
   }
-  return false;
 }
 
 void Engine::RunUntil(SimTime until) {

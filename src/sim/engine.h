@@ -22,9 +22,14 @@
 // allocation-free in steady state. Callbacks live in InlineFunction slots
 // (no std::function heap traffic), slots are recycled through a free list
 // inside a chunked deque (stable addresses, so a callback can run in place
-// while nested Schedule calls grow the pool), and the ready queue is a 4-ary
-// implicit heap of 24-byte entries keyed (due, seq) -- the same total order
-// as the old binary heap, so the dispatch sequence is bit-identical.
+// while nested Schedule calls grow the pool), and the one-shot queue is a
+// 4-ary implicit heap of 24-byte entries keyed (due, seq). Periodic events
+// (the lazy writer's tick, the agent's daily snapshot: a handful per system)
+// live in a small array beside the heap instead, so a re-arm is an in-place
+// update rather than a pop and push through a heap that may hold a whole
+// replay's pre-scheduled bursts. Dispatch takes the smaller (due, seq) of
+// the heap top and the earliest timer, and both draw seq from one counter,
+// so the total dispatch order is the same as one heap holding everything.
 // Cancel is O(1): an EventId encodes (generation << 32 | slot), and a stale
 // generation makes cancelling an already-fired one-shot a harmless no-op.
 
@@ -57,8 +62,7 @@ class Engine {
   template <typename F>
   EventId Schedule(SimDuration delay, F&& fn) {
     assert(delay.ticks() >= 0);
-    return PushEvent(now_ + delay, InlineFunction(std::forward<F>(fn)),
-                     /*periodic=*/false, SimDuration());
+    return PushEvent(now_ + delay, InlineFunction(std::forward<F>(fn)), SimDuration());
   }
 
   // Schedule `fn` at an absolute time (clamped to now if in the past).
@@ -67,8 +71,7 @@ class Engine {
     if (when < now_) {
       when = now_;
     }
-    return PushEvent(when, InlineFunction(std::forward<F>(fn)),
-                     /*periodic=*/false, SimDuration());
+    return PushEvent(when, InlineFunction(std::forward<F>(fn)), SimDuration());
   }
 
   // Schedule `fn` every `period`, first firing after `initial_delay`.
@@ -76,8 +79,7 @@ class Engine {
   template <typename F>
   EventId SchedulePeriodic(SimDuration initial_delay, SimDuration period, F&& fn) {
     assert(period.ticks() > 0);
-    return PushEvent(now_ + initial_delay, InlineFunction(std::forward<F>(fn)),
-                     /*periodic=*/true, period);
+    return PushEvent(now_ + initial_delay, InlineFunction(std::forward<F>(fn)), period);
   }
 
   // Cancel a pending (or periodic) event. Safe to call on already-fired
@@ -117,11 +119,15 @@ class Engine {
     uint32_t slot;
   };
 
+  // A periodic event: its next firing and its period.
+  struct Timer {
+    HeapEntry next;
+    SimDuration period;
+  };
+
   struct EventSlot {
     EventId id = 0;  // 0 = free; otherwise (generation << 32) | index.
-    SimDuration period{};
     uint32_t next_free = kNoSlot;
-    bool periodic = false;
     bool cancelled = false;
     InlineFunction fn;
   };
@@ -130,7 +136,9 @@ class Engine {
     return a.due != b.due ? a.due < b.due : a.seq < b.seq;
   }
 
-  EventId PushEvent(SimTime due, InlineFunction fn, bool periodic, SimDuration period);
+  // A zero `period` schedules a one-shot onto the heap, a positive one a
+  // periodic timer.
+  EventId PushEvent(SimTime due, InlineFunction fn, SimDuration period);
   void FreeSlot(uint32_t index);
   void HeapPush(HeapEntry entry);
   void HeapPopRoot();
@@ -141,7 +149,11 @@ class Engine {
   uint64_t next_seq_ = 0;
   uint64_t next_generation_ = 1;  // Keeps EventIds nonzero and unique.
   uint64_t events_dispatched_ = 0;
-  std::vector<HeapEntry> heap_;  // 4-ary implicit min-heap on (due, seq).
+  std::vector<HeapEntry> heap_;  // One-shots: 4-ary implicit min-heap on (due, seq).
+  // Periodic events, unordered (the earliest is found by a scan: there are
+  // only a few). A cancelled timer stays until its next firing is reached,
+  // as a cancelled one-shot stays in the heap.
+  std::vector<Timer> timers_;
   // Chunked so slot addresses stay stable while a running callback
   // schedules new events; freed slots recycle through free_head_, so the
   // pool stops growing once the workload's peak in-flight count is reached.

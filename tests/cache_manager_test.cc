@@ -236,6 +236,64 @@ TEST(CacheManager, ResurrectionOnReopenDuringTeardown) {
   EXPECT_EQ(sys.cache->active_maps(), 0u);
 }
 
+// Deleting a file whose map waits for the lazy writer completes that
+// teardown: the pending count must drop with the map, or every later scan
+// misses the idle fast path (no dirty pages, no pending teardowns).
+TEST(CacheManager, DeleteDuringPendingTeardownReleasesIt) {
+  TestSystem sys;
+  sys.engine.RunUntil(SimTime() + SimDuration::Seconds(1));  // Just past a tick.
+  FileObject* fo = sys.OpenRw("C:\\doomed.bin");
+  sys.io->WriteNext(*fo, 8 * 1024);
+  sys.io->CloseHandle(*fo);  // Dirty: teardown waits for the lazy writer.
+  EXPECT_EQ(sys.cache->pending_teardowns(), 1u);
+  FileObject* d = sys.OpenRw("C:\\doomed.bin");
+  sys.io->SetDispositionDelete(*d, true);
+  sys.io->CloseHandle(*d);
+  EXPECT_EQ(sys.cache->active_maps(), 0u);
+  EXPECT_EQ(sys.cache->pending_teardowns(), 0u);
+  EXPECT_EQ(sys.cache->pages().dirty_pages(), 0u);
+  // The next tick is idle: it counts as a scan and does nothing else.
+  const CacheStats before = sys.cache->stats();
+  sys.engine.RunUntil(SimTime() + SimDuration::Seconds(2));
+  const CacheStats& after = sys.cache->stats();
+  EXPECT_EQ(after.lazy_scans, before.lazy_scans + 1);
+  EXPECT_EQ(after.lazy_write_irps, before.lazy_write_irps);
+  EXPECT_EQ(after.teardowns, before.teardowns);
+  EXPECT_EQ(sys.cache->pending_teardowns(), 0u);
+}
+
+// With a temporary file holding dirty pages the scans are never idle, so the
+// deleted map's teardown must not change what they count: the values below
+// are the ones the scan produced before deletion released the teardown.
+TEST(CacheManager, DeleteDuringPendingTeardownKeepsScanCounts) {
+  TestSystem sys;
+  CreateRequest req;
+  req.path = "C:\\keep.tmp";
+  req.disposition = CreateDisposition::kCreate;
+  req.desired_access = kAccessReadData | kAccessWriteData;
+  req.file_attributes = kAttrTemporary;
+  req.process_id = sys.pid;
+  FileObject* temp = sys.io->Create(req).file;
+  ASSERT_NE(temp, nullptr);
+  sys.io->WriteNext(*temp, 16 * 1024);  // Four dirty pages the scan skips.
+  FileObject* fo = sys.OpenRw("C:\\doomed.bin");
+  sys.io->WriteNext(*fo, 8 * 1024);
+  sys.io->CloseHandle(*fo);
+  FileObject* d = sys.OpenRw("C:\\doomed.bin");
+  sys.io->SetDispositionDelete(*d, true);
+  sys.io->CloseHandle(*d);
+  EXPECT_EQ(sys.cache->pending_teardowns(), 0u);
+  sys.engine.RunUntil(SimTime() + SimDuration::Seconds(5));
+  EXPECT_EQ(sys.cache->stats().lazy_scans, 5u);
+  EXPECT_EQ(sys.cache->stats().temporary_pages_skipped, 20u);
+  EXPECT_EQ(sys.cache->stats().lazy_write_irps, 0u);
+  sys.io->CloseHandle(*temp);
+  EXPECT_EQ(sys.cache->pending_teardowns(), 1u);
+  sys.engine.RunUntil(SimTime() + SimDuration::Seconds(30));
+  EXPECT_EQ(sys.cache->pending_teardowns(), 0u);
+  EXPECT_EQ(sys.cache->active_maps(), 0u);
+}
+
 TEST(CacheManager, SetEofIssuedOnlyForWrittenFiles) {
   TestSystem sys;
   FileObject* w = sys.OpenRw("C:\\wrote.bin");
