@@ -408,25 +408,11 @@ int main() {
       compressed_bytes_on_disk = 0;
     }
     const std::string raw_rewrite = columnar.columnar_dir + "/raw_rewrite.ntx";
-    {
-      ExtentStoreWriter writer;
-      if (writer.Open(raw_rewrite, kDefaultExtentRecords, 0, /*compress=*/false) &&
-          writer.AppendRecords(row_result.trace.records.data(),
-                               row_result.trace.records.size())) {
-        for (const NameRecord& n : row_result.trace.names) {
-          writer.AddName(n);
-        }
-        for (const auto& [pid, name] : row_result.trace.process_names) {
-          writer.AddProcessName(pid, name);
-        }
-        if (writer.Seal()) {
-          writer.Close();
-          const uint64_t raw_bytes = std::filesystem::file_size(raw_rewrite, ec);
-          if (!ec && compressed_bytes_on_disk > 0) {
-            compression_ratio = static_cast<double>(raw_bytes) /
-                                static_cast<double>(compressed_bytes_on_disk);
-          }
-        }
+    if (WriteTraceStore(row_result.trace, raw_rewrite, /*compress=*/false)) {
+      const uint64_t raw_bytes = std::filesystem::file_size(raw_rewrite, ec);
+      if (!ec && compressed_bytes_on_disk > 0) {
+        compression_ratio =
+            static_cast<double>(raw_bytes) / static_cast<double>(compressed_bytes_on_disk);
       }
     }
     std::filesystem::remove_all(columnar.columnar_dir);

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -109,35 +110,14 @@ int main() {
   }();
   const std::string cpath = store_dir + ".c.ntx";
   const std::string rpath = store_dir + ".r.ntx";
-  uint64_t compressed_bytes = 0;
-  uint64_t raw_bytes = 0;
   auto write_store = [&](const std::string& path, bool compress) -> uint64_t {
-    ExtentStoreWriter writer;
-    if (!writer.Open(path, kDefaultExtentRecords, 0, compress) ||
-        !writer.AppendRecords(trace.records.data(), trace.records.size())) {
-      return 0;
-    }
-    for (const NameRecord& n : trace.names) {
-      writer.AddName(n);
-    }
-    for (const auto& [pid, name] : trace.process_names) {
-      writer.AddProcessName(pid, name);
-    }
-    if (!writer.Seal()) {
-      return 0;
-    }
-    writer.Close();
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      return 0;
-    }
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fclose(f);
-    return size > 0 ? static_cast<uint64_t>(size) : 0;
+    std::error_code ec;
+    const uint64_t size =
+        WriteTraceStore(trace, path, compress) ? std::filesystem::file_size(path, ec) : 0;
+    return ec ? 0 : size;
   };
-  compressed_bytes = write_store(cpath, true);
-  raw_bytes = write_store(rpath, false);
+  const uint64_t compressed_bytes = write_store(cpath, true);
+  const uint64_t raw_bytes = write_store(rpath, false);
   std::remove(rpath.c_str());  // Only its size matters.
   const double compression_ratio =
       compressed_bytes > 0 ? static_cast<double>(raw_bytes) / static_cast<double>(compressed_bytes)

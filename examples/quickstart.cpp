@@ -4,12 +4,13 @@
 // pull out a handful of the paper's headline numbers, and save the trace
 // for offline analysis.
 //
-//   $ ./quickstart [output.nttrace]
+//   $ ./quickstart [output.ntx]
 
 #include <cstdio>
 
 #include "src/base/format.h"
 #include "src/study/study.h"
+#include "src/trace/extent_store.h"
 
 int main(int argc, char** argv) {
   using namespace ntrace;
@@ -58,13 +59,13 @@ int main(int argc, char** argv) {
               sessions.data_open_p75_ms);
 
   // Persist the collection for later runs of the analyzers.
-  const char* path = argc > 1 ? argv[1] : "quickstart.nttrace";
-  if (study.trace().SaveTo(path)) {
-    std::printf("\ntrace saved to %s\n", path);
-    TraceSet reloaded;
-    if (TraceSet::LoadFrom(path, &reloaded)) {
-      std::printf("reload check: %zu records\n", reloaded.records.size());
-    }
+  const char* path = argc > 1 ? argv[1] : "quickstart.ntx";
+  if (!WriteTraceStore(study.trace(), path)) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return 1;
   }
-  return 0;
+  std::printf("\ntrace saved to %s\n", path);
+  const TraceSet reloaded = ColumnarTraceSet::FromFile(path).ToRows();
+  std::printf("reload check: %zu records\n", reloaded.records.size());
+  return reloaded.records.size() == study.trace().records.size() ? 0 : 1;
 }

@@ -1,15 +1,16 @@
-// Offline trace inspection: load a saved .nttrace collection and summarize
-// it -- the "data collection available for public inspection" workflow the
-// paper wanted to enable. Pairs with quickstart (which writes the file).
+// Offline trace inspection: open a published store (.ntx), report its
+// salvage state, and summarize the trace -- the "data collection available
+// for public inspection" workflow the paper wanted to enable. Pairs with
+// quickstart (which writes the file). Exits 1 when the file is not a store.
 //
-//   $ ./quickstart run.nttrace && ./trace_inspect run.nttrace
+//   $ ./quickstart run.ntx && ./trace_inspect run.ntx
 
 #include <cstdio>
 #include <map>
 
 #include "src/base/format.h"
 #include "src/stats/tails.h"
-#include "src/trace/trace_set.h"
+#include "src/trace/extent_store.h"
 #include "src/tracedb/instance_table.h"
 #include "src/workload/fleet.h"
 
@@ -20,10 +21,23 @@ int main(int argc, char** argv) {
   std::string source;
   if (argc > 1) {
     source = argv[1];
-    if (!TraceSet::LoadFrom(source, &trace)) {
-      std::fprintf(stderr, "cannot load %s\n", source.c_str());
+    const ColumnarTraceSet store = ColumnarTraceSet::FromFile(source);
+    const ExtentReadStats& st = store.read_stats();
+    std::printf("store %s: header_valid=%d version=%u sealed=%d\n", source.c_str(),
+                st.header_valid ? 1 : 0, st.version, st.sealed ? 1 : 0);
+    std::printf("  recovered: %llu extents, %llu records, %llu names\n",
+                static_cast<unsigned long long>(st.extents_recovered),
+                static_cast<unsigned long long>(st.records_recovered),
+                static_cast<unsigned long long>(st.names_recovered));
+    std::printf("  damage: %llu frames, %llu bytes discarded, %llu records known lost\n",
+                static_cast<unsigned long long>(st.frames_damaged),
+                static_cast<unsigned long long>(st.bytes_discarded),
+                static_cast<unsigned long long>(st.records_lost_known));
+    if (!st.header_valid) {
+      std::fprintf(stderr, "%s is not a trace store\n", source.c_str());
       return 1;
     }
+    trace = store.ToRows();
   } else {
     // No file given: synthesize a small one so the example is runnable
     // stand-alone.

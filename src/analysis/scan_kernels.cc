@@ -140,79 +140,12 @@ __attribute__((target("avx2"))) void CacheMixKernelAvx2(const ColumnBatch& b,
   }
 }
 
-__attribute__((target("sse4.2"))) void CacheMixKernelSse42(const ColumnBatch& b,
-                                                           CacheMixTally* out) {
-  const size_t n = b.count & ~size_t{3};
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i one = _mm_set1_epi32(1);
-  const __m128i ev_read = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpRead));
-  const __m128i ev_write = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpWrite));
-  const __m128i ra_bit = _mm_set1_epi32(static_cast<int>(kIrpReadAhead));
-  const __m128i lw_bit = _mm_set1_epi32(static_cast<int>(kIrpLazyWrite));
-  __m128i prb = zero, pwb = zero, rab = zero, lwb = zero;
-  uint64_t pr = 0, pw = 0, ra = 0, lw = 0;
-  for (size_t i = 0; i < n; i += 4) {
-    const __m128i flags = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.irp_flags + i));
-    const __m128i len = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.length + i));
-    const __m128i ev =
-        _mm_cvtepu16_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(b.event + i)));
-    const __m128i paging = _mm_cmpeq_epi32(_mm_and_si128(flags, one), one);
-    const __m128i rmask = _mm_and_si128(paging, _mm_cmpeq_epi32(ev, ev_read));
-    const __m128i wmask = _mm_and_si128(paging, _mm_cmpeq_epi32(ev, ev_write));
-    const __m128i ramask =
-        _mm_and_si128(rmask, _mm_cmpeq_epi32(_mm_and_si128(flags, ra_bit), ra_bit));
-    const __m128i lwmask =
-        _mm_and_si128(wmask, _mm_cmpeq_epi32(_mm_and_si128(flags, lw_bit), lw_bit));
-    pr += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(rmask)));
-    pw += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(wmask)));
-    ra += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(ramask)));
-    lw += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(lwmask)));
-    const __m128i rlen = _mm_and_si128(rmask, len);
-    const __m128i wlen = _mm_and_si128(wmask, len);
-    const __m128i ralen = _mm_and_si128(ramask, len);
-    const __m128i lwlen = _mm_and_si128(lwmask, len);
-    prb = _mm_add_epi64(prb, _mm_add_epi64(_mm_unpacklo_epi32(rlen, zero),
-                                           _mm_unpackhi_epi32(rlen, zero)));
-    pwb = _mm_add_epi64(pwb, _mm_add_epi64(_mm_unpacklo_epi32(wlen, zero),
-                                           _mm_unpackhi_epi32(wlen, zero)));
-    rab = _mm_add_epi64(rab, _mm_add_epi64(_mm_unpacklo_epi32(ralen, zero),
-                                           _mm_unpackhi_epi32(ralen, zero)));
-    lwb = _mm_add_epi64(lwb, _mm_add_epi64(_mm_unpacklo_epi32(lwlen, zero),
-                                           _mm_unpackhi_epi32(lwlen, zero)));
-  }
-  alignas(16) uint64_t lanes[2];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), prb);
-  out->paging_read_bytes += lanes[0] + lanes[1];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), pwb);
-  out->paging_write_bytes += lanes[0] + lanes[1];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), rab);
-  out->readahead_bytes += lanes[0] + lanes[1];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), lwb);
-  out->lazywrite_bytes += lanes[0] + lanes[1];
-  out->paging_reads += pr;
-  out->paging_writes += pw;
-  out->readahead_records += ra;
-  out->lazywrite_records += lw;
-  if (n < b.count) {
-    ColumnBatch tail = b;
-    tail.irp_flags += n;
-    tail.event += n;
-    tail.length += n;
-    tail.count = b.count - n;
-    CacheMixKernelPortable(tail, out);
-  }
-}
-
 #endif  // __x86_64__
 
 void CacheMixKernel(const ColumnBatch& b, CacheMixTally* out) {
 #if defined(__x86_64__)
   if (CpuHasAvx2()) {
     CacheMixKernelAvx2(b, out);
-    return;
-  }
-  if (CpuHasSse42()) {
-    CacheMixKernelSse42(b, out);
     return;
   }
 #endif
@@ -279,52 +212,12 @@ __attribute__((target("avx2"))) void TransferPrecountKernelAvx2(const ColumnBatc
   }
 }
 
-__attribute__((target("sse4.2"))) void TransferPrecountKernelSse42(const ColumnBatch& b,
-                                                                   TransferPrecountTally* out) {
-  const size_t n = b.count & ~size_t{3};
-  const __m128i one = _mm_set1_epi32(1);
-  const __m128i ev_iread = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpRead));
-  const __m128i ev_iwrite = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpWrite));
-  const __m128i ev_fread = _mm_set1_epi32(static_cast<int>(TraceEvent::kFastIoRead));
-  const __m128i ev_fwrite = _mm_set1_epi32(static_cast<int>(TraceEvent::kFastIoWrite));
-  uint64_t ir = 0, iw = 0, fr = 0, fw = 0;
-  for (size_t i = 0; i < n; i += 4) {
-    const __m128i flags = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.irp_flags + i));
-    const __m128i ev =
-        _mm_cvtepu16_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(b.event + i)));
-    const __m128i nonpaging = _mm_cmpeq_epi32(_mm_and_si128(flags, one), _mm_setzero_si128());
-    const __m128i irm = _mm_and_si128(nonpaging, _mm_cmpeq_epi32(ev, ev_iread));
-    const __m128i iwm = _mm_and_si128(nonpaging, _mm_cmpeq_epi32(ev, ev_iwrite));
-    const __m128i frm = _mm_and_si128(nonpaging, _mm_cmpeq_epi32(ev, ev_fread));
-    const __m128i fwm = _mm_and_si128(nonpaging, _mm_cmpeq_epi32(ev, ev_fwrite));
-    ir += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(irm)));
-    iw += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(iwm)));
-    fr += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(frm)));
-    fw += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(fwm)));
-  }
-  out->irp_reads += ir;
-  out->irp_writes += iw;
-  out->fastio_reads += fr;
-  out->fastio_writes += fw;
-  if (n < b.count) {
-    ColumnBatch tail = b;
-    tail.irp_flags += n;
-    tail.event += n;
-    tail.count = b.count - n;
-    TransferPrecountKernelPortable(tail, out);
-  }
-}
-
 #endif  // __x86_64__
 
 void TransferPrecountKernel(const ColumnBatch& b, TransferPrecountTally* out) {
 #if defined(__x86_64__)
   if (CpuHasAvx2()) {
     TransferPrecountKernelAvx2(b, out);
-    return;
-  }
-  if (CpuHasSse42()) {
-    TransferPrecountKernelSse42(b, out);
     return;
   }
 #endif
@@ -403,58 +296,12 @@ __attribute__((target("avx2"))) void ControlPredicateKernelAvx2(const ColumnBatc
   }
 }
 
-__attribute__((target("sse4.2"))) void ControlPredicateKernelSse42(const ColumnBatch& b,
-                                                                   ControlPredicateTally* out) {
-  const size_t n = b.count & ~size_t{3};
-  const __m128i one = _mm_set1_epi32(1);
-  const __m128i ev_fsctl = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpFileSystemControl));
-  const __m128i ev_devctl = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpDeviceControl));
-  const __m128i ev_setinfo = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpSetInformation));
-  const __m128i fsctl_vmc = _mm_set1_epi32(static_cast<int>(FsctlCode::kIsVolumeMounted));
-  const __m128i info_eof = _mm_set1_epi32(static_cast<int>(FileInfoClass::kEndOfFile));
-  uint64_t vmc = 0, seteof = 0;
-  for (size_t i = 0; i < n; i += 4) {
-    const __m128i flags = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.irp_flags + i));
-    const __m128i ev =
-        _mm_cvtepu16_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(b.event + i)));
-    const __m128i fsctl = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(
-        static_cast<int>(*reinterpret_cast<const uint32_t*>(b.fsctl + i))));
-    const __m128i info = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(
-        static_cast<int>(*reinterpret_cast<const uint32_t*>(b.info_class + i))));
-    const __m128i nonpaging = _mm_cmpeq_epi32(_mm_and_si128(flags, one), _mm_setzero_si128());
-    const __m128i is_control =
-        _mm_or_si128(_mm_cmpeq_epi32(ev, ev_fsctl), _mm_cmpeq_epi32(ev, ev_devctl));
-    const __m128i vmask =
-        _mm_and_si128(nonpaging, _mm_and_si128(is_control, _mm_cmpeq_epi32(fsctl, fsctl_vmc)));
-    const __m128i smask = _mm_and_si128(
-        nonpaging,
-        _mm_and_si128(_mm_cmpeq_epi32(ev, ev_setinfo), _mm_cmpeq_epi32(info, info_eof)));
-    vmc += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(vmask)));
-    seteof += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(smask)));
-  }
-  out->volume_mounted_checks += vmc;
-  out->seteof_ops += seteof;
-  if (n < b.count) {
-    ColumnBatch tail = b;
-    tail.irp_flags += n;
-    tail.event += n;
-    tail.fsctl += n;
-    tail.info_class += n;
-    tail.count = b.count - n;
-    ControlPredicateKernelPortable(tail, out);
-  }
-}
-
 #endif  // __x86_64__
 
 void ControlPredicateKernel(const ColumnBatch& b, ControlPredicateTally* out) {
 #if defined(__x86_64__)
   if (CpuHasAvx2()) {
     ControlPredicateKernelAvx2(b, out);
-    return;
-  }
-  if (CpuHasSse42()) {
-    ControlPredicateKernelSse42(b, out);
     return;
   }
 #endif

@@ -16,10 +16,12 @@
 //     64x64 (event, status) tally table, folded into the named counters
 //     once per scan;
 //   * the cache/paging transfer mix and the control-operation predicates
-//     (is-volume-mounted probes, set-end-of-file) vectorize: SSE4.2/AVX2
-//     kernels with a portable branchless fallback, runtime-dispatched via
+//     (is-volume-mounted probes, set-end-of-file) vectorize: AVX2 kernels
+//     with a portable branchless fallback, runtime-dispatched via
 //     src/base/cpu.h exactly like the CRC-32C codec. NTRACE_NO_SIMD=1
-//     forces the portable paths; the parity tests pin both equal.
+//     forces the portable paths; the parity tests pin both equal. AVX2
+//     stays because it measures ~12% faster (median) on the resident
+//     columnar scan (DESIGN.md §12).
 //
 // Everything parity-critical keeps the row path's exact arithmetic: the
 // latency double is the same SimDuration expression, CDF sample multisets
@@ -42,7 +44,7 @@
 namespace ntrace {
 
 // --- Vector kernels ---------------------------------------------------------
-// Each kernel has portable / SSE4.2 / AVX2 variants with identical integer
+// Each kernel has portable and AVX2 variants with identical integer
 // results; the unsuffixed entry point dispatches on the running CPU. The
 // suffixed variants are exported so the parity test can pin them equal
 // directly (the env knob NTRACE_NO_SIMD covers the dispatch route).
@@ -63,7 +65,6 @@ struct CacheMixTally {
 void CacheMixKernel(const ColumnBatch& b, CacheMixTally* out);
 void CacheMixKernelPortable(const ColumnBatch& b, CacheMixTally* out);
 #if defined(__x86_64__)
-void CacheMixKernelSse42(const ColumnBatch& b, CacheMixTally* out);
 void CacheMixKernelAvx2(const ColumnBatch& b, CacheMixTally* out);
 #endif
 
@@ -81,7 +82,6 @@ struct TransferPrecountTally {
 void TransferPrecountKernel(const ColumnBatch& b, TransferPrecountTally* out);
 void TransferPrecountKernelPortable(const ColumnBatch& b, TransferPrecountTally* out);
 #if defined(__x86_64__)
-void TransferPrecountKernelSse42(const ColumnBatch& b, TransferPrecountTally* out);
 void TransferPrecountKernelAvx2(const ColumnBatch& b, TransferPrecountTally* out);
 #endif
 
@@ -95,7 +95,6 @@ struct ControlPredicateTally {
 void ControlPredicateKernel(const ColumnBatch& b, ControlPredicateTally* out);
 void ControlPredicateKernelPortable(const ColumnBatch& b, ControlPredicateTally* out);
 #if defined(__x86_64__)
-void ControlPredicateKernelSse42(const ColumnBatch& b, ControlPredicateTally* out);
 void ControlPredicateKernelAvx2(const ColumnBatch& b, ControlPredicateTally* out);
 #endif
 

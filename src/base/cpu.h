@@ -3,7 +3,7 @@
 // Two hot paths pick an instruction-set-specific implementation at runtime:
 // the CRC-32C used by the spool/extent frame codec (src/base/crc32c.cc,
 // SSE4.2 crc32 instruction) and the columnar scan kernels
-// (src/analysis/scan_kernels.cc, AVX2/SSE4.2 predicate filters). Both share
+// (src/analysis/scan_kernels.cc, AVX2 predicate filters). Both share
 // this one probe so "which path ran" is decided -- and overridable -- in one
 // place: NTRACE_NO_SIMD=1 in the environment forces the portable fallbacks,
 // which is how the parity tests pin the portable and vector paths equal on

@@ -13,13 +13,15 @@ void Study::Run() {
 
 const TraceSet& Study::trace() const {
   assert(result_.has_value());
+  assert(!result_->columnar_mode &&
+         "Study::trace(): columnar mode keeps no row trace; only Scan() and FastIo() "
+         "analyze the columnar store");
   return result_->trace;
 }
 
 const TraceSet& Study::app_trace() {
-  assert(result_.has_value());
   if (!app_trace_.has_value()) {
-    app_trace_ = result_->trace.WithoutCacheInducedPaging();
+    app_trace_ = trace().WithoutCacheInducedPaging();
     // Index while still single-threaded; analyses may then share the view
     // concurrently without racing on the lazy name-index build.
     app_trace_->EnsureNameIndex();

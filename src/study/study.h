@@ -10,7 +10,7 @@
 //   study.Run();
 //   const UserActivityResult activity = study.UserActivity();   // Table 2.
 //   const AccessPatternTable patterns = study.AccessPatterns(); // Table 3.
-//   study.trace().SaveTo("run.nttrace");                        // Publish.
+//   WriteTraceStore(study.trace(), "run.ntx");                  // Publish.
 //
 // Analyses are computed on demand and memoized; all of them operate on the
 // application-level view (cache-induced paging duplicates filtered, section
@@ -59,6 +59,11 @@ class Study {
   bool has_run() const { return result_.has_value(); }
 
   // --- Raw data ---------------------------------------------------------------
+  // The row trace exists only in row mode: with `fleet.columnar_dir` set,
+  // the records live in the disk-backed store and trace(), app_trace(),
+  // instances() and every analysis built on them abort with a message
+  // instead of returning an empty result. Scan(), FastIo() and the
+  // system/integrity/snapshot accessors work in both modes.
   const TraceSet& trace() const;          // Full trace, paging included.
   const TraceSet& app_trace();            // Cache-induced paging filtered.
   const InstanceTable& instances();       // Built over app_trace().

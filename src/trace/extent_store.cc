@@ -682,6 +682,21 @@ void ExtentStoreWriter::Close() {
   }
 }
 
+bool WriteTraceStore(const TraceSet& trace, const std::string& path, bool compress) {
+  ExtentStoreWriter writer;
+  if (!writer.Open(path, kDefaultExtentRecords, /*config_fingerprint=*/0, compress) ||
+      !writer.AppendRecords(trace.records.data(), trace.records.size())) {
+    return false;
+  }
+  for (const NameRecord& n : trace.names) {
+    writer.AddName(n);
+  }
+  for (const auto& [pid, name] : trace.process_names) {
+    writer.AddProcessName(pid, name);
+  }
+  return writer.Seal();
+}
+
 // ---------------------------------------------------------------------------
 // ExtentStreamReader
 // ---------------------------------------------------------------------------

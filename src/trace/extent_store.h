@@ -306,6 +306,13 @@ class ExtentStoreWriter {
   std::vector<uint8_t> frame_;    // Reused header+payload assembly buffer.
 };
 
+// Publishes a row trace as one sealed store at `path`: records in
+// default-size extents, then the name and process tables. This is the one
+// on-disk publish format; ColumnarTraceSet::FromFile(path).ToRows() reads
+// it back with every column, name and process-table entry exact. `compress`
+// is ExtentStoreWriter::Open's flag. Returns false on I/O failure.
+bool WriteTraceStore(const TraceSet& trace, const std::string& path, bool compress = true);
+
 // Streams extents out of a store file one frame at a time on a memory
 // budget of O(one extent). Salvage semantics: the first torn, corrupt or
 // truncated frame ends the stream; stats() reports what was recovered and

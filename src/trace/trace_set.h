@@ -1,7 +1,7 @@
-// Trace sets: the collected data of one tracing run, plus binary
-// serialization so runs can be written to disk and analyzed offline --
-// fulfilling the paper's goal of a data collection "available for public
-// inspection ... used as input for file system simulation studies".
+// Trace sets: the collected data of one tracing run. WriteTraceStore
+// (src/trace/extent_store.h) publishes one to disk for offline analysis --
+// the paper's goal of a data collection "available for public inspection
+// ... used as input for file system simulation studies".
 
 #ifndef SRC_TRACE_TRACE_SET_H_
 #define SRC_TRACE_TRACE_SET_H_
@@ -63,10 +63,6 @@ class TraceSet {
   // without the global O(n log n) sort. The fleet merge feeds this the
   // per-system shard streams in system-id order.
   void MergeSortedRuns(std::vector<std::vector<TraceRecord>> runs);
-
-  // Binary serialization. Returns false on I/O failure / bad magic.
-  bool SaveTo(const std::string& path) const;
-  static bool LoadFrom(const std::string& path, TraceSet* out);
 
  private:
   void ResetNameIndex() noexcept;

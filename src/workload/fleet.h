@@ -153,9 +153,10 @@ struct FleetConfig {
   // O(live systems x one shard + systems x one spill extent) instead of
   // O(total records). FleetResult::columnar then carries the disk-backed
   // merged store; FleetResult::trace keeps names, process map and
-  // integrity, but no record rows. Like `threads`, this knob never changes
-  // analysis output -- TraceScan over the columnar store is byte-identical
-  // to the row path -- only where the records live.
+  // integrity, but no record rows. TraceScan over the columnar store is
+  // byte-identical to the row path, but the row-only analyses (instances,
+  // sessions, lifetimes, user activity, burstiness, profiles) have no
+  // records to read: Study refuses them in this mode.
   std::string columnar_dir;
   // Records per extent in the per-system spill segments (the k-way merge
   // buffers one extent per input, so smaller extents bound merge memory).

@@ -9,13 +9,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/workload/fleet.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -41,27 +41,6 @@ FleetConfig FaultyConfig() {
   config.fault_config.disk_read.probability = 0.02;
   config.fault_config.disk_write.probability = 0.02;
   return config;
-}
-
-// Serializes through the public SaveTo format and returns the raw file
-// bytes: the strongest equality we can ask for, since it is the format a
-// published collection ships in.
-std::vector<unsigned char> SerializedBytes(const TraceSet& trace, const std::string& tag) {
-  const std::string path = testing::TempDir() + "/fleet_determinism_" + tag + ".nttrace";
-  EXPECT_TRUE(trace.SaveTo(path));
-  std::vector<unsigned char> bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  if (f != nullptr) {
-    unsigned char buf[1 << 16];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    std::fclose(f);
-  }
-  std::remove(path.c_str());
-  return bytes;
 }
 
 void ExpectSameIntegrity(const IntegrityReport& a, const IntegrityReport& b) {
@@ -95,8 +74,7 @@ void ExpectBitIdenticalAcrossThreadCounts(const FleetConfig& base, const std::st
   FleetConfig sequential = base;
   sequential.threads = 1;
   const FleetResult reference = RunFleet(sequential);
-  const std::vector<unsigned char> reference_bytes =
-      SerializedBytes(reference.trace, tag + "_t1");
+  const std::vector<unsigned char> reference_bytes = SerializedBytes(reference.trace);
   ASSERT_FALSE(reference_bytes.empty());
 
   for (int threads : {2, 8}) {
@@ -106,8 +84,7 @@ void ExpectBitIdenticalAcrossThreadCounts(const FleetConfig& base, const std::st
 
     ASSERT_EQ(result.trace.records.size(), reference.trace.records.size())
         << tag << " threads=" << threads;
-    const std::vector<unsigned char> bytes =
-        SerializedBytes(result.trace, tag + "_t" + std::to_string(threads));
+    const std::vector<unsigned char> bytes = SerializedBytes(result.trace);
     EXPECT_TRUE(bytes == reference_bytes)
         << tag << ": serialized trace differs between threads=1 and threads=" << threads;
     ExpectSameIntegrity(result.integrity, reference.integrity);
@@ -158,8 +135,7 @@ TEST(FleetDeterminism, DurableRunBitIdenticalToNonDurable) {
   FleetConfig reference_config = SmallConfig();
   reference_config.threads = 1;
   const FleetResult reference = RunFleet(reference_config);
-  const std::vector<unsigned char> reference_bytes =
-      SerializedBytes(reference.trace, "durable_ref");
+  const std::vector<unsigned char> reference_bytes = SerializedBytes(reference.trace);
 
   for (int threads : {1, 2}) {
     FleetConfig durable = SmallConfig();
@@ -168,8 +144,7 @@ TEST(FleetDeterminism, DurableRunBitIdenticalToNonDurable) {
         testing::TempDir() + "/fleet_determinism_spool_t" + std::to_string(threads);
     std::filesystem::remove_all(durable.durability.spool_dir);
     const FleetResult result = RunFleet(durable);
-    EXPECT_TRUE(SerializedBytes(result.trace, "durable_t" + std::to_string(threads)) ==
-                reference_bytes)
+    EXPECT_TRUE(SerializedBytes(result.trace) == reference_bytes)
         << "durable run differs from non-durable at threads=" << threads;
     ExpectSameIntegrity(result.integrity, reference.integrity);
     std::filesystem::remove_all(durable.durability.spool_dir);
@@ -185,8 +160,7 @@ TEST(FleetDeterminism, HardwareConcurrencyDefaultMatchesSequential) {
   sequential.threads = 1;
   const FleetResult reference = RunFleet(sequential);
 
-  EXPECT_TRUE(SerializedBytes(parallel.trace, "auto") ==
-              SerializedBytes(reference.trace, "auto_ref"));
+  EXPECT_TRUE(SerializedBytes(parallel.trace) == SerializedBytes(reference.trace));
   ExpectSameIntegrity(parallel.integrity, reference.integrity);
 }
 

@@ -19,6 +19,7 @@
 
 #include "src/trace/spool.h"
 #include "src/workload/fleet.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -41,24 +42,6 @@ std::string FreshDir(const std::string& tag) {
   const std::string dir = testing::TempDir() + "/fleet_recovery_" + tag;
   std::filesystem::remove_all(dir);
   return dir;
-}
-
-std::vector<unsigned char> SerializedBytes(const TraceSet& trace, const std::string& tag) {
-  const std::string path = testing::TempDir() + "/fleet_recovery_" + tag + ".nttrace";
-  EXPECT_TRUE(trace.SaveTo(path));
-  std::vector<unsigned char> bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  if (f != nullptr) {
-    unsigned char buf[1 << 16];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    std::fclose(f);
-  }
-  std::remove(path.c_str());
-  return bytes;
 }
 
 // Integrity equality. Salvage fields are compared only when
@@ -102,7 +85,7 @@ const Reference& UninterruptedReference() {
   static const Reference* ref = [] {
     auto* r = new Reference;
     r->result = RunFleet(BaseConfig());
-    r->bytes = SerializedBytes(r->result.trace, "reference");
+    r->bytes = SerializedBytes(r->result.trace);
     return r;
   }();
   return *ref;
@@ -166,7 +149,7 @@ TEST(FleetRecovery, CrashRestartSweepIsByteIdentical) {
       // in the one frame written when at_event == 1, so only assert here).
       EXPECT_GT(result.recovery.partial_records_salvageable, 0u) << tag;
     }
-    EXPECT_TRUE(SerializedBytes(result.trace, "sweep_" + std::to_string(index)) == ref.bytes)
+    EXPECT_TRUE(SerializedBytes(result.trace) == ref.bytes)
         << tag << ": crashed-and-restarted trace differs from uninterrupted run";
     ExpectSameIntegrity(ref.result.integrity, result.integrity,
                         /*expect_salvage_zero=*/true);
@@ -185,7 +168,7 @@ TEST(FleetRecovery, SecondInvocationResumesFromSealedSegments) {
   const FleetResult first = RunFleet(config);
   EXPECT_EQ(first.recovery.systems_simulated, 5u);
   EXPECT_EQ(first.recovery.segments_sealed, 5u);
-  EXPECT_TRUE(SerializedBytes(first.trace, "resume_first") == ref.bytes)
+  EXPECT_TRUE(SerializedBytes(first.trace) == ref.bytes)
       << "durable run differs from non-durable reference";
 
   // Same config, same spool dir: nothing is re-simulated, and the output is
@@ -197,7 +180,7 @@ TEST(FleetRecovery, SecondInvocationResumesFromSealedSegments) {
   EXPECT_EQ(second.recovery.records_salvaged,
             ref.result.integrity.Totals().records_collected);
   EXPECT_EQ(second.recovery.records_lost_to_corruption, 0u);
-  EXPECT_TRUE(SerializedBytes(second.trace, "resume_second") == ref.bytes)
+  EXPECT_TRUE(SerializedBytes(second.trace) == ref.bytes)
       << "resumed trace differs from uninterrupted run";
   ExpectSameIntegrity(ref.result.integrity, second.integrity,
                       /*expect_salvage_zero=*/false);
@@ -247,7 +230,7 @@ TEST(FleetRecovery, ExhaustedRestartsDropSystemThenLaterRunRepairsIt) {
   EXPECT_EQ(result.recovery.systems_resumed, 4u);
   EXPECT_EQ(result.recovery.systems_simulated, 1u);
   EXPECT_EQ(result.recovery.segments_sealed, 5u);
-  EXPECT_TRUE(SerializedBytes(result.trace, "exhaust_repaired") == ref.bytes)
+  EXPECT_TRUE(SerializedBytes(result.trace) == ref.bytes)
       << "repaired run differs from uninterrupted run";
   EXPECT_TRUE(result.integrity.AllAccounted());
   std::filesystem::remove_all(config.durability.spool_dir);
@@ -280,7 +263,7 @@ TEST(FleetRecovery, SalvageModeReplaysPrefixAndChargesCorruption) {
   const FleetResult strict = RunFleet(config);
   EXPECT_EQ(strict.recovery.systems_resumed, 4u);
   EXPECT_EQ(strict.recovery.systems_simulated, 1u);
-  EXPECT_TRUE(SerializedBytes(strict.trace, "salvage_strict") == ref.bytes);
+  EXPECT_TRUE(SerializedBytes(strict.trace) == ref.bytes);
 
   // Re-damage (the strict run resealed it) and salvage: the valid prefix is
   // replayed, the checkpoint manifest supplies the live collected count, and
@@ -337,7 +320,7 @@ TEST(FleetRecovery, WatchdogCancelsHungWorkerAndRestartRecovers) {
   EXPECT_GE(result.recovery.watchdog_cancellations, 1u);
   EXPECT_EQ(result.recovery.worker_crashes, 1u);
   EXPECT_EQ(result.recovery.worker_restarts, 1u);
-  EXPECT_TRUE(SerializedBytes(result.trace, "hang") == ref.bytes)
+  EXPECT_TRUE(SerializedBytes(result.trace) == ref.bytes)
       << "hung-and-restarted trace differs from uninterrupted run";
   std::filesystem::remove_all(config.durability.spool_dir);
 }

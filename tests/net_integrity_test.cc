@@ -8,12 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "src/workload/fleet.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -46,24 +46,6 @@ NetCollectionConfig FastNet() {
   net.retry.max_backoff = SimDuration::FromMillisF(20.0);
   net.retry.jitter = 0.25;
   return net;
-}
-
-std::vector<unsigned char> SerializedBytes(const TraceSet& trace, const std::string& tag) {
-  const std::string path = testing::TempDir() + "/net_integrity_" + tag + ".nttrace";
-  EXPECT_TRUE(trace.SaveTo(path));
-  std::vector<unsigned char> bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  if (f != nullptr) {
-    unsigned char buf[1 << 16];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    std::fclose(f);
-  }
-  std::remove(path.c_str());
-  return bytes;
 }
 
 void ExpectSameIntegrity(const IntegrityReport& a, const IntegrityReport& b) {
@@ -108,7 +90,7 @@ const Reference& InProcessReference() {
     FleetConfig config = BaseConfig();
     config.threads = 1;
     r->result = RunFleet(config);
-    r->bytes = SerializedBytes(r->result.trace, "reference");
+    r->bytes = SerializedBytes(r->result.trace);
     return r;
   }();
   return *reference;
@@ -131,8 +113,7 @@ void ExpectNetMatchesReference(const NetCollectionConfig& net, const std::string
     ASSERT_TRUE(result.net.used) << tag << " threads=" << threads
                                  << ": fell back to in-process collection";
     EXPECT_EQ(result.net.agent_failures, 0u) << tag << " threads=" << threads;
-    const std::vector<unsigned char> bytes =
-        SerializedBytes(result.trace, tag + "_t" + std::to_string(threads));
+    const std::vector<unsigned char> bytes = SerializedBytes(result.trace);
     EXPECT_TRUE(bytes == reference.bytes)
         << tag << ": serialized trace differs from in-process run at threads=" << threads;
     ExpectSameIntegrity(result.integrity, reference.result.integrity);
@@ -260,8 +241,7 @@ TEST(NetIntegrity, MidStreamServerCrashRecoversExactly) {
     EXPECT_GE(result.net.sessions_restored, 1u) << "threads=" << threads;
     EXPECT_EQ(result.net.agent_failures, 0u) << "threads=" << threads;
 
-    const std::vector<unsigned char> bytes =
-        SerializedBytes(result.trace, "crash_t" + std::to_string(threads));
+    const std::vector<unsigned char> bytes = SerializedBytes(result.trace);
     EXPECT_TRUE(bytes == reference.bytes)
         << "mid-stream crash changed the merged trace at threads=" << threads;
     ExpectSameIntegrity(result.integrity, reference.result.integrity);

@@ -5,8 +5,8 @@
 //  - over the fleet's out-of-core columnar mode at threads {1, 2, 8};
 //  - over adversarial random records (wild pids / system ids beyond the
 //    dense-table caps, unknown event codes, out-of-order timestamps);
-//  - and the portable / SSE4.2 / AVX2 kernel variants pinned equal on the
-//    same batches (tests/CMakeLists.txt additionally re-runs this whole
+//  - and the portable and AVX2 kernel variants pinned equal on the same
+//    batches (tests/CMakeLists.txt additionally re-runs this whole
 //    binary with NTRACE_NO_SIMD=1, pinning the dispatch route itself).
 
 #include <gtest/gtest.h>
@@ -292,7 +292,7 @@ TEST(ScanParity, RandomizedAdversarialRecords) {
 }
 
 #if defined(__x86_64__)
-// The portable, SSE4.2 and AVX2 kernel variants must produce identical
+// The portable and AVX2 kernel variants must produce identical
 // tallies on identical batches -- including misaligned batch lengths that
 // exercise every scalar tail.
 TEST(ScanParity, KernelVariantsPinnedEqual) {
@@ -314,12 +314,6 @@ TEST(ScanParity, KernelVariantsPinnedEqual) {
 
     CacheMixTally portable_mix, simd_mix;
     CacheMixKernelPortable(batch, &portable_mix);
-    if (CpuHasSse42()) {
-      simd_mix = CacheMixTally();
-      CacheMixKernelSse42(batch, &simd_mix);
-      EXPECT_EQ(std::memcmp(&portable_mix, &simd_mix, sizeof(portable_mix)), 0)
-          << "sse4.2 cache mix, n=" << n;
-    }
     if (CpuHasAvx2()) {
       simd_mix = CacheMixTally();
       CacheMixKernelAvx2(batch, &simd_mix);
@@ -329,12 +323,6 @@ TEST(ScanParity, KernelVariantsPinnedEqual) {
 
     ControlPredicateTally portable_ctl, simd_ctl;
     ControlPredicateKernelPortable(batch, &portable_ctl);
-    if (CpuHasSse42()) {
-      simd_ctl = ControlPredicateTally();
-      ControlPredicateKernelSse42(batch, &simd_ctl);
-      EXPECT_EQ(std::memcmp(&portable_ctl, &simd_ctl, sizeof(portable_ctl)), 0)
-          << "sse4.2 control predicates, n=" << n;
-    }
     if (CpuHasAvx2()) {
       simd_ctl = ControlPredicateTally();
       ControlPredicateKernelAvx2(batch, &simd_ctl);
@@ -344,12 +332,6 @@ TEST(ScanParity, KernelVariantsPinnedEqual) {
 
     TransferPrecountTally portable_pre, simd_pre;
     TransferPrecountKernelPortable(batch, &portable_pre);
-    if (CpuHasSse42()) {
-      simd_pre = TransferPrecountTally();
-      TransferPrecountKernelSse42(batch, &simd_pre);
-      EXPECT_EQ(std::memcmp(&portable_pre, &simd_pre, sizeof(portable_pre)), 0)
-          << "sse4.2 transfer precount, n=" << n;
-    }
     if (CpuHasAvx2()) {
       simd_pre = TransferPrecountTally();
       TransferPrecountKernelAvx2(batch, &simd_pre);

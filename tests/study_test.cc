@@ -1,8 +1,14 @@
 // Tests: src/study -- the public facade, plus cross-cutting paper-shape
-// assertions on a small but complete study run.
+// assertions on a small but complete study run, and the facade's contract
+// in columnar (out-of-core) mode.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <string>
+
+#include "bench/bench_common.h"
 #include "src/study/study.h"
 
 namespace ntrace {
@@ -123,6 +129,79 @@ TEST_F(StudyTest, SnapshotsSupportSection5) {
     EXPECT_GT(c.fullness, 0.2);
     EXPECT_LT(c.fullness, 0.95);
   }
+}
+
+// A two-system fleet, in columnar mode when `columnar_dir` is non-empty.
+// Columnar mode keeps the records in the disk-backed store and no row trace.
+StudyConfig TwoSystemStudy(const std::string& columnar_dir) {
+  StudyConfig config = SmallStudy();
+  config.fleet.pool = 0;
+  config.fleet.administrative = 0;
+  config.fleet.scientific = 0;
+  config.fleet.columnar_dir = columnar_dir;
+  return config;
+}
+
+std::string ColumnarDir() {
+  return testing::TempDir() + "/study_columnar_" + std::to_string(getpid());
+}
+
+// Every accessor that reads the row trace or the instance table must abort
+// with a message in columnar mode instead of analyzing an empty trace.
+TEST(StudyColumnarDeathTest, RowOnlyAccessorsFailLoudly) {
+  const std::string dir = ColumnarDir();
+  Study study(TwoSystemStudy(dir));
+  study.Run();
+  const char* kRefusal = "columnar mode keeps no row trace";
+  EXPECT_DEATH(study.trace(), kRefusal);
+  EXPECT_DEATH(study.app_trace(), kRefusal);
+  EXPECT_DEATH(study.instances(), kRefusal);
+  EXPECT_DEATH(study.UserActivity(), kRefusal);
+  EXPECT_DEATH(study.AccessPatterns(), kRefusal);
+  EXPECT_DEATH(study.RunLengths(), kRefusal);
+  EXPECT_DEATH(study.FileSizes(), kRefusal);
+  EXPECT_DEATH(study.Sessions(), kRefusal);
+  EXPECT_DEATH(study.Lifetimes(), kRefusal);
+  EXPECT_DEATH(study.Operations(), kRefusal);
+  EXPECT_DEATH(study.Cache(), kRefusal);
+  EXPECT_DEATH(study.Burstiness(), kRefusal);
+  EXPECT_DEATH(study.TailSweep(), kRefusal);
+  EXPECT_DEATH(study.ProcessProfiles(), kRefusal);
+  EXPECT_DEATH(study.FileTypeProfiles(), kRefusal);
+  std::filesystem::remove_all(dir);
+}
+
+// The scan-based accessors read the columnar store and must match a row
+// mode run of the same fleet exactly.
+TEST(StudyColumnar, ScanAndFastIoMatchRowMode) {
+  const std::string dir = ColumnarDir();
+  Study columnar(TwoSystemStudy(dir));
+  columnar.Run();
+  Study row(TwoSystemStudy(""));
+  row.Run();
+
+  const TraceScan& col_scan = columnar.Scan();
+  const TraceScan& row_scan = row.Scan();
+  ASSERT_GT(row_scan.records_scanned, 1000u);
+  EXPECT_EQ(col_scan.records_scanned, row_scan.records_scanned);
+  EXPECT_EQ(col_scan.records_lost_known, row_scan.records_lost_known);
+  EXPECT_EQ(ScanFingerprint(col_scan), ScanFingerprint(row_scan));
+
+  const FastIoResultAnalysis& a = columnar.FastIo();
+  const FastIoResultAnalysis& b = row.FastIo();
+  EXPECT_EQ(a.fastio_read_share, b.fastio_read_share);
+  EXPECT_EQ(a.fastio_write_share, b.fastio_write_share);
+  EXPECT_EQ(a.read_fallbacks, b.read_fallbacks);
+  EXPECT_EQ(a.write_fallbacks, b.write_fallbacks);
+  EXPECT_TRUE(a.fastio_read_latency_us.samples() == b.fastio_read_latency_us.samples());
+  EXPECT_TRUE(a.fastio_write_latency_us.samples() == b.fastio_write_latency_us.samples());
+  EXPECT_TRUE(a.irp_read_latency_us.samples() == b.irp_read_latency_us.samples());
+  EXPECT_TRUE(a.irp_write_latency_us.samples() == b.irp_write_latency_us.samples());
+  EXPECT_TRUE(a.fastio_read_size.samples() == b.fastio_read_size.samples());
+  EXPECT_TRUE(a.fastio_write_size.samples() == b.fastio_write_size.samples());
+  EXPECT_TRUE(a.irp_read_size.samples() == b.irp_read_size.samples());
+  EXPECT_TRUE(a.irp_write_size.samples() == b.irp_write_size.samples());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

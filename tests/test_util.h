@@ -1,12 +1,19 @@
 // Shared fixture pieces for tests: a single simulated system with one local
 // volume, cache manager, VM manager and trace filter, wired exactly like the
-// study fleet wires its machines.
+// study fleet wires its machines; and the serialized-bytes trace equality.
 
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/fs/fs_driver.h"
 #include "src/mm/cache_manager.h"
@@ -14,6 +21,7 @@
 #include "src/ntio/io_manager.h"
 #include "src/sim/engine.h"
 #include "src/trace/collection_server.h"
+#include "src/trace/extent_store.h"
 #include "src/trace/trace_agent.h"
 
 namespace ntrace {
@@ -73,6 +81,20 @@ class TestSystem {
   std::unique_ptr<TraceAgent> agent;
   uint32_t pid = 0;
 };
+
+// Publishes `trace` with WriteTraceStore and returns the file's bytes. The
+// store round-trips every column, name and process-table entry exactly, so
+// equal bytes mean equal traces: the strongest equality a test can ask for,
+// in the format a published collection ships in.
+inline std::vector<unsigned char> SerializedBytes(const TraceSet& trace) {
+  const std::string path = testing::TempDir() + "/serialized_" + std::to_string(getpid()) + ".ntx";
+  EXPECT_TRUE(WriteTraceStore(trace, path));
+  std::ifstream in(path, std::ios::binary);
+  std::vector<unsigned char> bytes{std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>()};
+  std::remove(path.c_str());
+  return bytes;
+}
 
 }  // namespace ntrace
 

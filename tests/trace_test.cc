@@ -1,14 +1,16 @@
 // Unit tests: src/trace -- record semantics, triple-buffering, the filter
-// driver's event capture, snapshots, and trace-set serialization.
+// driver's event capture, snapshots, and publishing a trace set as a store.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-
+#include <cstring>
+#include <string>
 #include <utility>
 
 #include "src/fault/fault.h"
 #include "src/trace/collection_server.h"
+#include "src/trace/extent_store.h"
 #include "src/trace/snapshot.h"
 #include "src/trace/trace_buffer.h"
 #include "src/trace/trace_set.h"
@@ -321,8 +323,10 @@ TEST(SnapshotWalkerTest, FatVolumesDropCreationAndAccessTimes) {
   }
 }
 
-// --- Serialization -------------------------------------------------------------------
+// --- Publishing ----------------------------------------------------------------
 
+// A published trace reads back exactly -- every record byte, name and
+// process-table entry -- compressed or not.
 TEST(TraceSetIo, SaveLoadRoundTrip) {
   TestSystem sys;
   FileObject* fo = sys.OpenRw("C:\\persist.bin");
@@ -330,31 +334,48 @@ TEST(TraceSetIo, SaveLoadRoundTrip) {
   sys.io->ReadNext(*fo, 512);
   sys.io->CloseHandle(*fo);
   TraceSet& set = sys.FinishTrace();
+  ASSERT_FALSE(set.records.empty());
+  ASSERT_FALSE(set.names.empty());
+  ASSERT_FALSE(set.process_names.empty());
 
-  const std::string path = "/tmp/ntrace_roundtrip_test.bin";
-  ASSERT_TRUE(set.SaveTo(path));
-  TraceSet loaded;
-  ASSERT_TRUE(TraceSet::LoadFrom(path, &loaded));
-  ASSERT_EQ(loaded.records.size(), set.records.size());
-  for (size_t i = 0; i < set.records.size(); ++i) {
-    EXPECT_EQ(loaded.records[i].event, set.records[i].event);
-    EXPECT_EQ(loaded.records[i].complete_ticks, set.records[i].complete_ticks);
-    EXPECT_EQ(loaded.records[i].file_object, set.records[i].file_object);
+  const std::string path = testing::TempDir() + "/trace_roundtrip.ntx";
+  for (const bool compress : {true, false}) {
+    ASSERT_TRUE(WriteTraceStore(set, path, compress));
+    const TraceSet loaded = ColumnarTraceSet::FromFile(path).ToRows();
+    ASSERT_EQ(loaded.records.size(), set.records.size());
+    EXPECT_EQ(std::memcmp(loaded.records.data(), set.records.data(),
+                          set.records.size() * sizeof(TraceRecord)),
+              0)
+        << "compress=" << compress;
+    ASSERT_EQ(loaded.names.size(), set.names.size());
+    for (size_t i = 0; i < set.names.size(); ++i) {
+      EXPECT_EQ(loaded.names[i].file_object, set.names[i].file_object);
+      EXPECT_EQ(loaded.names[i].system_id, set.names[i].system_id);
+      EXPECT_EQ(loaded.names[i].path, set.names[i].path);
+    }
+    EXPECT_EQ(loaded.process_names, set.process_names);
   }
-  EXPECT_EQ(loaded.names.size(), set.names.size());
-  EXPECT_EQ(loaded.process_names.size(), set.process_names.size());
   std::remove(path.c_str());
 }
 
+// Bytes that are not a store (longer than a store header, so the magic
+// check rejects them) reload as an invalid header and zero records.
 TEST(TraceSetIo, LoadRejectsGarbage) {
-  const std::string path = "/tmp/ntrace_garbage_test.bin";
+  const std::string path = testing::TempDir() + "/trace_garbage.ntx";
   std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("this is not a trace", f);
+  ASSERT_NE(f, nullptr);
+  std::fputs("this is not a trace store, just text longer than a header", f);
   std::fclose(f);
-  TraceSet out;
-  EXPECT_FALSE(TraceSet::LoadFrom(path, &out));
+  const ColumnarTraceSet garbage = ColumnarTraceSet::FromFile(path);
+  EXPECT_TRUE(garbage.read_stats().file_opened);
+  EXPECT_FALSE(garbage.read_stats().header_valid);
+  EXPECT_EQ(garbage.record_count(), 0u);
+  EXPECT_TRUE(garbage.ToRows().records.empty());
   std::remove(path.c_str());
-  EXPECT_FALSE(TraceSet::LoadFrom("/nonexistent/path.bin", &out));
+
+  const ColumnarTraceSet missing = ColumnarTraceSet::FromFile("/nonexistent/path.ntx");
+  EXPECT_FALSE(missing.read_stats().file_opened);
+  EXPECT_EQ(missing.record_count(), 0u);
 }
 
 TEST(TraceSetIo, SystemFiltering) {
