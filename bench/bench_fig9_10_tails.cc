@@ -26,7 +26,7 @@ void PrintQq(const char* title, const QqSeries& qq) {
 
 void Run() {
   Study& study = RunStandardStudy();
-  const std::vector<double> sample = BurstinessAnalyzer::OpenInterarrivalsMs(study.trace());
+  const std::vector<double> sample = BurstinessAnalyzer::OpenInterarrivalsMs(study.instances());
   const TailDiagnostics diag =
       BurstinessAnalyzer::Diagnose("open inter-arrival (ms)", sample);
 

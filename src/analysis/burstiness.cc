@@ -5,17 +5,14 @@
 
 #include "src/base/rng.h"
 #include "src/stats/distributions.h"
-#include "src/tracedb/instance_table.h"
 
 namespace ntrace {
 namespace {
 
-uint32_t BusiestSystem(const TraceSet& trace) {
+uint32_t BusiestSystem(const InstanceTable& instances) {
   std::map<uint32_t, uint64_t> counts;
-  for (const TraceRecord& r : trace.records) {
-    if (r.Event() == TraceEvent::kIrpCreate) {
-      ++counts[r.system_id];
-    }
+  for (const Instance& s : instances.rows()) {
+    ++counts[s.system_id];
   }
   uint32_t best = 0;
   uint64_t best_count = 0;
@@ -46,34 +43,34 @@ std::vector<double> Bucketize(const std::vector<double>& arrivals_s, double inte
 
 }  // namespace
 
-std::vector<double> BurstinessAnalyzer::OpenInterarrivalsMs(const TraceSet& trace,
+std::vector<double> BurstinessAnalyzer::OpenInterarrivalsMs(const InstanceTable& instances,
                                                             uint32_t system_id) {
   if (system_id == 0) {
-    system_id = BusiestSystem(trace);
+    system_id = BusiestSystem(instances);
   }
   std::vector<double> gaps;
   int64_t last = -1;
-  for (const TraceRecord& r : trace.records) {
-    if (r.Event() != TraceEvent::kIrpCreate || r.system_id != system_id) {
+  for (const Instance& s : instances.rows()) {
+    if (s.system_id != system_id) {
       continue;
     }
-    if (last >= 0 && r.start_ticks > last) {
-      gaps.push_back(SimDuration(r.start_ticks - last).ToMillisF());
+    if (last >= 0 && s.open_start > last) {
+      gaps.push_back(SimDuration(s.open_start - last).ToMillisF());
     }
-    last = r.start_ticks;
+    last = s.open_start;
   }
   return gaps;
 }
 
-ArrivalViews BurstinessAnalyzer::BuildArrivalViews(const TraceSet& trace, uint32_t system_id,
-                                                   uint64_t seed) {
+ArrivalViews BurstinessAnalyzer::BuildArrivalViews(const InstanceTable& instances,
+                                                   uint32_t system_id, uint64_t seed) {
   if (system_id == 0) {
-    system_id = BusiestSystem(trace);
+    system_id = BusiestSystem(instances);
   }
   std::vector<double> arrivals;
-  for (const TraceRecord& r : trace.records) {
-    if (r.Event() == TraceEvent::kIrpCreate && r.system_id == system_id) {
-      arrivals.push_back(SimTime(r.start_ticks).ToSecondsF());
+  for (const Instance& s : instances.rows()) {
+    if (s.system_id == system_id) {
+      arrivals.push_back(SimTime(s.open_start).ToSecondsF());
     }
   }
   ArrivalViews views;
@@ -130,9 +127,9 @@ TailDiagnostics BurstinessAnalyzer::Diagnose(std::string quantity, std::vector<d
   return diag;
 }
 
-std::vector<TailDiagnostics> BurstinessAnalyzer::SweepAll(const TraceSet& trace) {
-  const InstanceTable instances = InstanceTable::Build(trace);
-  std::vector<double> interarrivals = OpenInterarrivalsMs(trace);
+std::vector<TailDiagnostics> BurstinessAnalyzer::SweepAll(const TraceSet& trace,
+                                                         const InstanceTable& instances) {
+  std::vector<double> interarrivals = OpenInterarrivalsMs(instances);
   std::vector<double> holding_ms;
   std::vector<double> session_bytes;
   std::vector<double> file_sizes;

@@ -13,6 +13,7 @@
 #include "src/stats/descriptive.h"
 #include "src/stats/tails.h"
 #include "src/trace/trace_set.h"
+#include "src/tracedb/instance_table.h"
 
 namespace ntrace {
 
@@ -43,10 +44,13 @@ struct TailDiagnostics {
 class BurstinessAnalyzer {
  public:
   // Open-arrival inter-arrival sample (milliseconds) of one system (0 = the
-  // busiest system, as the paper picks one trace file).
-  static std::vector<double> OpenInterarrivalsMs(const TraceSet& trace, uint32_t system_id = 0);
+  // busiest system, as the paper picks one trace file). Arrivals are the
+  // instance rows' open_start times: one row per create record, in trace
+  // order.
+  static std::vector<double> OpenInterarrivalsMs(const InstanceTable& instances,
+                                                 uint32_t system_id = 0);
 
-  static ArrivalViews BuildArrivalViews(const TraceSet& trace, uint32_t system_id = 0,
+  static ArrivalViews BuildArrivalViews(const InstanceTable& instances, uint32_t system_id = 0,
                                         uint64_t seed = 99);
 
   // Full tail diagnostics for a positive sample.
@@ -54,8 +58,10 @@ class BurstinessAnalyzer {
 
   // The section-7 sweep: Hill estimates for session inter-arrival times,
   // session holding times, read/write request sizes, per-session byte
-  // counts and file sizes.
-  static std::vector<TailDiagnostics> SweepAll(const TraceSet& trace);
+  // counts and file sizes. `instances` must be the table built over
+  // `trace`; only the request-size sample reads the records themselves.
+  static std::vector<TailDiagnostics> SweepAll(const TraceSet& trace,
+                                               const InstanceTable& instances);
 };
 
 }  // namespace ntrace

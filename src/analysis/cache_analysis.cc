@@ -2,12 +2,6 @@
 
 namespace ntrace {
 
-CacheAnalysisResult CacheAnalyzer::Analyze(const TraceSet& trace,
-                                           const InstanceTable& instances,
-                                           const CacheStats& stats) {
-  return Analyze(TraceScan::Run(trace), instances, stats);
-}
-
 CacheAnalysisResult CacheAnalyzer::Analyze(const TraceScan& scan,
                                            const InstanceTable& instances,
                                            const CacheStats& stats) {

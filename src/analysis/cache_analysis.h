@@ -7,7 +7,6 @@
 
 #include "src/analysis/trace_scan.h"
 #include "src/mm/cache_manager.h"
-#include "src/trace/trace_set.h"
 #include "src/tracedb/instance_table.h"
 
 namespace ntrace {
@@ -40,10 +39,6 @@ class CacheAnalyzer {
   // The flush-user set comes from the shared single-pass scan (DESIGN.md
   // §9); everything else is session- or stats-derived.
   static CacheAnalysisResult Analyze(const TraceScan& scan, const InstanceTable& instances,
-                                     const CacheStats& stats);
-
-  // Convenience overload performing its own scan.
-  static CacheAnalysisResult Analyze(const TraceSet& trace, const InstanceTable& instances,
                                      const CacheStats& stats);
 };
 

@@ -2,10 +2,6 @@
 
 namespace ntrace {
 
-FastIoResultAnalysis FastIoAnalyzer::Analyze(const TraceSet& trace) {
-  return Analyze(TraceScan::Run(trace));
-}
-
 FastIoResultAnalysis FastIoAnalyzer::Analyze(const TraceScan& scan) {
   FastIoResultAnalysis out;
   out.fastio_read_latency_us = scan.fastio_read_latency_us;

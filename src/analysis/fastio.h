@@ -6,7 +6,6 @@
 
 #include "src/analysis/trace_scan.h"
 #include "src/stats/descriptive.h"
-#include "src/trace/trace_set.h"
 
 namespace ntrace {
 
@@ -37,9 +36,6 @@ class FastIoAnalyzer {
   // construction and would skew the comparison). The per-record work lives
   // in the shared single-pass scan (DESIGN.md §9).
   static FastIoResultAnalysis Analyze(const TraceScan& scan);
-
-  // Convenience overload performing its own scan.
-  static FastIoResultAnalysis Analyze(const TraceSet& trace);
 };
 
 }  // namespace ntrace

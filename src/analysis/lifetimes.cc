@@ -18,8 +18,7 @@ struct PathEvent {
 
 }  // namespace
 
-LifetimeResult LifetimeAnalyzer::Analyze(const TraceSet& trace,
-                                         const InstanceTable& instances) {
+LifetimeResult LifetimeAnalyzer::Analyze(const InstanceTable& instances) {
   LifetimeResult result;
 
   // Per-path time-ordered event streams (instances are in create order).
@@ -54,7 +53,6 @@ LifetimeResult LifetimeAnalyzer::Analyze(const TraceSet& trace,
           PathEvent{PathEvent::kOpened, s.open_complete, s.cleanup_time, s.process_id, 0});
     }
   }
-  (void)trace;
 
   // Match each creation with the next death event on the same path.
   std::vector<double> sizes;

@@ -2,11 +2,6 @@
 
 namespace ntrace {
 
-OperationResult OperationAnalyzer::Analyze(const TraceSet& trace,
-                                           const InstanceTable& instances) {
-  return Analyze(TraceScan::Run(trace), instances);
-}
-
 OperationResult OperationAnalyzer::Analyze(const TraceScan& scan,
                                            const InstanceTable& instances) {
   OperationResult out;

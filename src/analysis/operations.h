@@ -7,7 +7,6 @@
 
 #include "src/analysis/trace_scan.h"
 #include "src/stats/descriptive.h"
-#include "src/trace/trace_set.h"
 #include "src/tracedb/instance_table.h"
 
 namespace ntrace {
@@ -55,9 +54,6 @@ class OperationAnalyzer {
   // Consumes the shared single-pass scan (DESIGN.md §9); only the
   // session-level statistics still walk the instance table here.
   static OperationResult Analyze(const TraceScan& scan, const InstanceTable& instances);
-
-  // Convenience overload performing its own scan.
-  static OperationResult Analyze(const TraceSet& trace, const InstanceTable& instances);
 };
 
 }  // namespace ntrace

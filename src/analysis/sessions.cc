@@ -4,9 +4,6 @@
 #include <map>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
-
-#include "src/base/format.h"
 
 namespace ntrace {
 namespace {
@@ -116,29 +113,22 @@ SessionResult SessionAnalyzer::Analyze(const TraceSet& trace, const InstanceTabl
   }
 
   // --- Figure 11: open inter-arrivals (per system, data vs control) ----------
-  // Classify each instance once, then walk create records in time order.
-  std::unordered_map<uint64_t, bool> is_data_open;
-  for (const Instance& s : instances.rows()) {
-    is_data_open[s.file_object] = s.HasData();
-  }
+  // Instance rows are the create records in trace order (instance_table.h).
   std::map<uint32_t, int64_t> last_open_by_system;
   std::set<std::pair<uint32_t, int64_t>> seconds_with_open;
+  for (const Instance& s : instances.rows()) {
+    seconds_with_open.insert({s.system_id, s.open_start / SimDuration::kTicksPerSecond});
+    auto it = last_open_by_system.find(s.system_id);
+    if (it != last_open_by_system.end()) {
+      const double gap_ms = SimDuration(s.open_start - it->second).ToMillisF();
+      (s.HasData() ? result.open_interarrival_io_ms : result.open_interarrival_control_ms)
+          .Add(gap_ms);
+    }
+    last_open_by_system[s.system_id] = s.open_start;
+  }
   int64_t max_second = 0;
   for (const TraceRecord& r : trace.records) {
     max_second = std::max(max_second, r.complete_ticks / SimDuration::kTicksPerSecond);
-    if (r.Event() != TraceEvent::kIrpCreate) {
-      continue;
-    }
-    seconds_with_open.insert({r.system_id, r.start_ticks / SimDuration::kTicksPerSecond});
-    auto it = last_open_by_system.find(r.system_id);
-    if (it != last_open_by_system.end()) {
-      const double gap_ms = SimDuration(r.start_ticks - it->second).ToMillisF();
-      auto data_it = is_data_open.find(r.file_object);
-      const bool data = data_it != is_data_open.end() && data_it->second;
-      (data ? result.open_interarrival_io_ms : result.open_interarrival_control_ms)
-          .Add(gap_ms);
-    }
-    last_open_by_system[r.system_id] = r.start_ticks;
   }
   result.open_interarrival_io_ms.Finalize();
   result.open_interarrival_control_ms.Finalize();

@@ -19,7 +19,7 @@ WhatIfRow MakeRow(std::string knob, std::string value, const FleetReplayResult& 
                             ? 0.0
                             : static_cast<double>(result.cache.copy_read_hits) /
                                   static_cast<double>(result.cache.copy_reads);
-  const FastIoResultAnalysis fastio = FastIoAnalyzer::Analyze(result.trace);
+  const FastIoResultAnalysis fastio = FastIoAnalyzer::Analyze(TraceScan::Run(result.trace));
   row.fastio_read_share = fastio.fastio_read_share;
   row.fastio_write_share = fastio.fastio_write_share;
   row.read_fallbacks = fastio.read_fallbacks;

@@ -116,7 +116,7 @@ const SessionResult& Study::Sessions() {
 
 const LifetimeResult& Study::Lifetimes() {
   if (!lifetimes_.has_value()) {
-    lifetimes_ = LifetimeAnalyzer::Analyze(trace(), instances());
+    lifetimes_ = LifetimeAnalyzer::Analyze(instances());
     lifetimes_->overwrite_with_dirty_fraction =
         total_cache_stats().purge_calls > 0
             ? static_cast<double>(total_cache_stats().purges_with_dirty) /
@@ -166,11 +166,11 @@ const CacheAnalysisResult& Study::Cache() {
 }
 
 ArrivalViews Study::Burstiness(uint32_t system_id) {
-  return BurstinessAnalyzer::BuildArrivalViews(trace(), system_id);
+  return BurstinessAnalyzer::BuildArrivalViews(instances(), system_id);
 }
 
 std::vector<TailDiagnostics> Study::TailSweep() {
-  return BurstinessAnalyzer::SweepAll(trace());
+  return BurstinessAnalyzer::SweepAll(trace(), instances());
 }
 
 std::vector<ProcessProfile> Study::ProcessProfiles() {

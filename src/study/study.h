@@ -12,9 +12,9 @@
 //   const AccessPatternTable patterns = study.AccessPatterns(); // Table 3.
 //   WriteTraceStore(study.trace(), "run.ntx");                  // Publish.
 //
-// Analyses are computed on demand and memoized; all of them operate on the
-// application-level view (cache-induced paging duplicates filtered, section
-// 3.3) except where a paper measurement explicitly includes paging I/O.
+// Analyses are computed on demand and memoized. Every per-open figure reads
+// the one instance table, whose counters keep cache-induced paging apart
+// from application requests (section 3.3).
 
 #ifndef SRC_STUDY_STUDY_H_
 #define SRC_STUDY_STUDY_H_
@@ -66,7 +66,7 @@ class Study {
   // system/integrity/snapshot accessors work in both modes.
   const TraceSet& trace() const;          // Full trace, paging included.
   const TraceSet& app_trace();            // Cache-induced paging filtered.
-  const InstanceTable& instances();       // Built over app_trace().
+  const InstanceTable& instances();       // Built once over trace().
   const std::vector<SystemRunStats>& systems() const;
   CacheStats total_cache_stats() const;
   // Pipeline accounting per system, rows in system-id order. Under

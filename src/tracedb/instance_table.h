@@ -5,8 +5,9 @@
 // sequence, combined with summary data for all operations on the object
 // during its life-time" (section 4). Virtually every measurement in the
 // paper -- session lifetimes, access patterns, run lengths, control-only
-// open fraction, FastIO shares -- is computed over this table; building it
-// from the raw record stream is the first step of each analyzer.
+// open fraction, FastIO shares, open arrivals -- is computed over this
+// table. Study builds it once from the raw record stream and every per-open
+// analyzer reads that one copy.
 
 #ifndef SRC_TRACEDB_INSTANCE_TABLE_H_
 #define SRC_TRACEDB_INSTANCE_TABLE_H_
@@ -102,9 +103,12 @@ struct Instance {
 
 class InstanceTable {
  public:
-  // Builds the table from a (time-sorted) trace set. Paging records are
-  // attributed to the instance of the file object they were issued on (the
-  // cache map holder).
+  // Builds the table from a (time-sorted) trace set. Rows are exactly one
+  // per kIrpCreate record, failed opens included, in trace order, with
+  // open_start equal to the record's start_ticks; the open-arrival analyses
+  // rely on this. Later records attach to the newest row of their file
+  // object; paging records go to the instance of the file object they were
+  // issued on (the cache map holder).
   static InstanceTable Build(const TraceSet& trace);
 
   const std::vector<Instance>& rows() const { return rows_; }

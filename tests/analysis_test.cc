@@ -208,7 +208,7 @@ TEST(AnalyzersEndToEnd, SessionsLifetimesOperations) {
 
   TraceSet& trace = sys.FinishTrace();
   const InstanceTable table = InstanceTable::Build(trace);
-  const LifetimeResult lifetimes = LifetimeAnalyzer::Analyze(trace, table);
+  const LifetimeResult lifetimes = LifetimeAnalyzer::Analyze(table);
   ASSERT_EQ(lifetimes.deaths.size(), 2u);
   int overwrites = 0;
   int deletes = 0;
@@ -229,11 +229,12 @@ TEST(AnalyzersEndToEnd, SessionsLifetimesOperations) {
   EXPECT_FALSE(sessions.open_interarrival_io_ms.empty() &&
                sessions.open_interarrival_control_ms.empty());
 
-  const OperationResult ops = OperationAnalyzer::Analyze(trace, table);
+  const TraceScan scan = TraceScan::Run(trace);
+  const OperationResult ops = OperationAnalyzer::Analyze(scan, table);
   EXPECT_GT(ops.writes, 0u);
   EXPECT_EQ(ops.write_failures, 0u);
 
-  const FastIoResultAnalysis fastio = FastIoAnalyzer::Analyze(trace);
+  const FastIoResultAnalysis fastio = FastIoAnalyzer::Analyze(scan);
   EXPECT_GT(fastio.fastio_write_share, 0.0);
 }
 
@@ -313,9 +314,10 @@ TEST(Burstiness, PoissonSynthesisSmoothsTraceDoesNot) {
     }
     t += SimDuration::Seconds(300).ticks();
   }
-  const ArrivalViews views = BurstinessAnalyzer::BuildArrivalViews(trace, 1);
+  const InstanceTable table = InstanceTable::Build(trace);
+  const ArrivalViews views = BurstinessAnalyzer::BuildArrivalViews(table, 1);
   EXPECT_GT(views.trace_cv[2], 2.0 * views.poisson_cv[2]);
-  const std::vector<double> gaps = BurstinessAnalyzer::OpenInterarrivalsMs(trace, 1);
+  const std::vector<double> gaps = BurstinessAnalyzer::OpenInterarrivalsMs(table, 1);
   EXPECT_EQ(gaps.size(), 30u * 200 - 1);
 }
 

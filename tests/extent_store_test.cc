@@ -83,7 +83,9 @@ std::vector<uint8_t> ReadFileBytes(const std::string& path) {
 void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  if (!bytes.empty()) {  // fwrite's buffer must be non-null even for zero bytes.
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 

@@ -268,7 +268,8 @@ void ExpectMetricsMatchAnalysis(const FleetResult& result) {
   // trace records equals the share the IoManager counted live. FastIO
   // accepts emit kFastIoRead/Write records; rejected attempts fall back to
   // an application IRP (non-paging kIrpRead/Write) and a NotPossible marker.
-  const FastIoResultAnalysis fastio = FastIoAnalyzer::Analyze(result.trace);
+  const TraceScan scan = TraceScan::Run(result.trace);
+  const FastIoResultAnalysis fastio = FastIoAnalyzer::Analyze(scan);
   const uint64_t fast_reads = m.CounterValue("ntrace_ntio_fastio_read_accepted_total");
   const uint64_t irp_reads = m.CounterValue("ntrace_ntio_app_read_irp_total");
   const uint64_t fast_writes = m.CounterValue("ntrace_ntio_fastio_write_accepted_total");
@@ -294,7 +295,7 @@ void ExpectMetricsMatchAnalysis(const FleetResult& result) {
   EXPECT_EQ(m.CounterValue("ntrace_mm_flush_op_total"), cache.flush_ops);
   EXPECT_EQ(m.CounterValue("ntrace_mm_flush_bytes_total"), cache.flush_bytes);
   const InstanceTable table = InstanceTable::Build(result.trace);
-  const CacheAnalysisResult analysis = CacheAnalyzer::Analyze(result.trace, table, cache);
+  const CacheAnalysisResult analysis = CacheAnalyzer::Analyze(scan, table, cache);
   ASSERT_GT(m.CounterValue("ntrace_mm_copy_read_total"), 0u);
   EXPECT_DOUBLE_EQ(analysis.cached_read_fraction,
                    static_cast<double>(m.CounterValue("ntrace_mm_copy_read_hit_total")) /

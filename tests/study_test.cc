@@ -5,10 +5,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <string>
+#include <unordered_map>
 
 #include "bench/bench_common.h"
+#include "src/base/rng.h"
+#include "src/stats/distributions.h"
 #include "src/study/study.h"
 
 namespace ntrace {
@@ -119,6 +125,111 @@ TEST_F(StudyTest, HeavyTailsEverywhere) {
     EXPECT_GT(alpha, 0.0) << d.quantity;
     EXPECT_LT(alpha, 2.5) << d.quantity;  // Heavy (paper: 1.2-1.7).
   }
+}
+
+// Figures 8-11 read open arrivals from the instance rows. The oracle is the
+// walk over the trace's create records they replaced; both must agree
+// exactly.
+TEST_F(StudyTest, OpenArrivalsMatchCreateRecordWalk) {
+  const TraceSet& trace = study().trace();
+  std::map<uint32_t, uint64_t> creates_by_system;
+  for (const TraceRecord& r : trace.records) {
+    if (r.Event() == TraceEvent::kIrpCreate) {
+      ++creates_by_system[r.system_id];
+    }
+  }
+  uint32_t busiest = 0;
+  uint64_t busiest_count = 0;
+  for (const auto& [id, n] : creates_by_system) {
+    if (n > busiest_count) {
+      busiest = id;
+      busiest_count = n;
+    }
+  }
+  std::vector<double> gaps_ms;
+  std::vector<double> arrivals_s;
+  int64_t last = -1;
+  for (const TraceRecord& r : trace.records) {
+    if (r.Event() != TraceEvent::kIrpCreate || r.system_id != busiest) {
+      continue;
+    }
+    if (last >= 0 && r.start_ticks > last) {
+      gaps_ms.push_back(SimDuration(r.start_ticks - last).ToMillisF());
+    }
+    last = r.start_ticks;
+    arrivals_s.push_back(SimTime(r.start_ticks).ToSecondsF());
+  }
+  ASSERT_GT(arrivals_s.size(), 100u);
+
+  // Figure 8.
+  const double base = arrivals_s.front();
+  const double span = arrivals_s.back() - base;
+  Rng rng(99);
+  const PoissonProcess poisson(static_cast<double>(arrivals_s.size()) / std::max(span, 1.0));
+  std::vector<double> poisson_s;
+  for (double t = poisson.NextGapSeconds(rng); t < span; t += poisson.NextGapSeconds(rng)) {
+    poisson_s.push_back(t);
+  }
+  auto bucketize = [](const std::vector<double>& times, double offset, double interval) {
+    IntervalSeries series(interval);
+    for (double t : times) {
+      series.AddEvent(t - offset);
+    }
+    return series.Dense();
+  };
+  const ArrivalViews views = study().Burstiness(0);
+  EXPECT_EQ(views.trace_1s, bucketize(arrivals_s, base, 1.0));
+  EXPECT_EQ(views.trace_10s, bucketize(arrivals_s, base, 10.0));
+  EXPECT_EQ(views.trace_100s, bucketize(arrivals_s, base, 100.0));
+  EXPECT_EQ(views.poisson_1s, bucketize(poisson_s, 0.0, 1.0));
+  EXPECT_EQ(views.poisson_10s, bucketize(poisson_s, 0.0, 10.0));
+  EXPECT_EQ(views.poisson_100s, bucketize(poisson_s, 0.0, 100.0));
+
+  // Figures 9-10: the sweep's first quantity is the open inter-arrival.
+  const TailDiagnostics oracle = BurstinessAnalyzer::Diagnose("oracle", gaps_ms);
+  const TailDiagnostics swept = study().TailSweep()[0];
+  EXPECT_EQ(swept.samples, oracle.samples);
+  EXPECT_EQ(swept.hill_alpha, oracle.hill_alpha);
+  EXPECT_EQ(swept.llcd.alpha_hat, oracle.llcd.alpha_hat);
+  EXPECT_EQ(swept.qq_normal.sample_q, oracle.qq_normal.sample_q);
+  EXPECT_EQ(swept.qq_pareto.theoretical_q, oracle.qq_pareto.theoretical_q);
+
+  // Figure 11: per-system create-to-create gaps, split by whether the
+  // opened instance moved data.
+  std::unordered_map<uint64_t, bool> is_data_open;
+  for (const Instance& s : study().instances().rows()) {
+    is_data_open[s.file_object] = s.HasData();
+  }
+  WeightedCdf io_ms;
+  WeightedCdf control_ms;
+  std::map<uint32_t, int64_t> last_open_by_system;
+  std::set<std::pair<uint32_t, int64_t>> seconds_with_open;
+  for (const TraceRecord& r : trace.records) {
+    if (r.Event() != TraceEvent::kIrpCreate) {
+      continue;
+    }
+    seconds_with_open.insert({r.system_id, r.start_ticks / SimDuration::kTicksPerSecond});
+    auto it = last_open_by_system.find(r.system_id);
+    if (it != last_open_by_system.end()) {
+      const double gap_ms = SimDuration(r.start_ticks - it->second).ToMillisF();
+      (is_data_open.at(r.file_object) ? io_ms : control_ms).Add(gap_ms);
+    }
+    last_open_by_system[r.system_id] = r.start_ticks;
+  }
+  io_ms.Finalize();
+  control_ms.Finalize();
+  const SessionResult& sessions = study().Sessions();
+  ASSERT_FALSE(io_ms.empty());
+  ASSERT_FALSE(control_ms.empty());
+  EXPECT_TRUE(sessions.open_interarrival_io_ms.samples() == io_ms.samples());
+  EXPECT_TRUE(sessions.open_interarrival_control_ms.samples() == control_ms.samples());
+  int64_t max_second = 0;
+  for (const TraceRecord& r : trace.records) {
+    max_second = std::max(max_second, r.complete_ticks / SimDuration::kTicksPerSecond);
+  }
+  EXPECT_EQ(sessions.seconds_with_opens_fraction,
+            static_cast<double>(seconds_with_open.size()) /
+                (static_cast<double>(max_second) * last_open_by_system.size()));
 }
 
 TEST_F(StudyTest, SnapshotsSupportSection5) {

@@ -171,6 +171,60 @@ TEST(InstanceTableBuild, DeleteDispositionFlagged) {
   }
 }
 
+// The invariant the open-arrival analyses rely on: one row per kIrpCreate
+// record, failed or not, in trace order, with open_start equal to the
+// record's start. A reused file object starts a fresh row, and later
+// operations on it attach to that newest row.
+TEST(InstanceTableBuild, OneRowPerCreateRecordInTraceOrder) {
+  auto record = [](TraceEvent event, uint32_t system, uint64_t file_object, int64_t t) {
+    TraceRecord r;
+    r.event = static_cast<uint16_t>(event);
+    r.system_id = system;
+    r.file_object = file_object;
+    r.start_ticks = t;
+    r.complete_ticks = t + 1;
+    return r;
+  };
+  TraceSet set;
+  set.records.push_back(record(TraceEvent::kIrpCreate, 1, 10, 100));
+  set.records.push_back(record(TraceEvent::kIrpCreate, 2, 20, 150));
+  set.records.push_back(record(TraceEvent::kIrpRead, 1, 10, 200));
+  set.records.back().returned = 64;
+  set.records.push_back(record(TraceEvent::kIrpCreate, 2, 21, 250));
+  set.records.back().status = static_cast<uint16_t>(NtStatus::kObjectNameNotFound);
+  set.records.push_back(record(TraceEvent::kIrpCleanup, 1, 10, 300));
+  set.records.push_back(record(TraceEvent::kIrpCreate, 1, 10, 400));  // Reused object.
+  set.records.push_back(record(TraceEvent::kIrpWrite, 1, 10, 500));
+  set.records.back().returned = 32;
+  set.records.push_back(record(TraceEvent::kIrpRead, 2, 99, 600));  // Opened before the trace.
+
+  const InstanceTable table = InstanceTable::Build(set);
+  std::vector<const TraceRecord*> creates;
+  for (const TraceRecord& r : set.records) {
+    if (r.Event() == TraceEvent::kIrpCreate) {
+      creates.push_back(&r);
+    }
+  }
+  const std::vector<Instance>& rows = table.rows();
+  ASSERT_EQ(rows.size(), creates.size());
+  ASSERT_EQ(rows.size(), 4u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].system_id, creates[i]->system_id) << i;
+    EXPECT_EQ(rows[i].file_object, creates[i]->file_object) << i;
+    EXPECT_EQ(rows[i].open_start, creates[i]->start_ticks) << i;
+  }
+  EXPECT_TRUE(rows[2].open_failed);
+  EXPECT_EQ(table.SuccessfulOpens().size(), 3u);
+  // The first open of object 10 keeps its read and cleanup ...
+  EXPECT_EQ(rows[0].bytes_read, 64u);
+  EXPECT_EQ(rows[0].writes(), 0u);
+  EXPECT_EQ(rows[0].cleanup_time, 301);
+  // ... and its reuse gets only the write that followed it.
+  EXPECT_EQ(rows[3].bytes_written, 32u);
+  EXPECT_EQ(rows[3].reads(), 0u);
+  EXPECT_EQ(rows[3].cleanup_time, 0);
+}
+
 // --- Rollups -------------------------------------------------------------------------
 
 TEST(Rollup, GroupStatsAndCounts) {
