@@ -1,15 +1,16 @@
-// Shared driver for the reproduction benches.
+// Shared configuration for the benches.
 //
-// Every bench binary runs the same "standard study" (a scaled-down version
-// of the paper's 45-system, 4-week collection) and prints paper-vs-measured
-// rows for its table or figure. Scale knobs via environment:
+// StandardConfig() is the "standard study" (a scaled-down version of the
+// paper's 45-system, 4-week collection) that ntrace_report prints every
+// table and figure from and the other benches time. Scale knobs via
+// environment:
 //   NTRACE_SYSTEMS_SCALE  multiplies per-category system counts (default 1)
-//   NTRACE_DAYS           simulated days (default 1)
-//   NTRACE_ACTIVITY       burst-rate multiplier (default 1.0)
-//   NTRACE_CONTENT        initial-content multiplier (default 0.15)
+//   NTRACE_DAYS           simulated days, an integer in [1, 365] (default 1)
+//   NTRACE_ACTIVITY       burst-rate multiplier (default 0.75)
+//   NTRACE_CONTENT        initial-content multiplier (default 0.12)
 //   NTRACE_SEED           fleet seed (default 1999)
-//   NTRACE_THREADS        fleet worker threads (default 0 = all cores;
-//                         output is bit-identical for every value)
+//   NTRACE_THREADS        fleet worker threads in [0, 4096] (default 0 = all
+//                         cores; output is bit-identical for every value)
 //
 // Durability / crash-recovery knobs (DESIGN.md §10):
 //   NTRACE_SPOOL_DIR      enable the durable trace spool + checkpoint
@@ -324,13 +325,13 @@ inline StudyConfig StandardConfig() {
   config.fleet.personal = std::max(1, static_cast<int>(14 * sys_scale));
   config.fleet.administrative = std::max(1, static_cast<int>(5 * sys_scale));
   config.fleet.scientific = std::max(1, static_cast<int>(4 * sys_scale));
-  config.fleet.days = static_cast<int>(EnvDouble("NTRACE_DAYS", 1));
+  config.fleet.days = EnvInt("NTRACE_DAYS", 1, 1, 365);
   config.fleet.seed = EnvU64("NTRACE_SEED", 1999);
   config.fleet.activity_scale = EnvDouble("NTRACE_ACTIVITY", 0.75);
   config.fleet.content_scale = EnvDouble("NTRACE_CONTENT", 0.12);
   // Benches default to all cores: the parallel fleet is bit-identical to
   // the sequential one, so this only changes wall-clock.
-  config.fleet.threads = static_cast<int>(EnvU64("NTRACE_THREADS", 0));
+  config.fleet.threads = EnvInt("NTRACE_THREADS", 0, 0, 4096);
   const char* spool_dir = std::getenv("NTRACE_SPOOL_DIR");
   if (spool_dir != nullptr && *spool_dir != '\0') {
     config.fleet.durability.spool_dir = spool_dir;
@@ -375,22 +376,6 @@ inline StudyConfig StandardConfig() {
     net.transport_faults.reorder_probability = fault_prob;
   }
   return config;
-}
-
-// Runs the standard study, reporting its scale on stdout.
-inline Study& RunStandardStudy() {
-  static Study study(StandardConfig());
-  if (!study.has_run()) {
-    const StudyConfig config = StandardConfig();
-    std::printf("ntrace standard study: %d systems, %d day(s), activity x%.2f, seed %llu\n",
-                config.fleet.TotalSystems(), config.fleet.days, config.fleet.activity_scale,
-                static_cast<unsigned long long>(config.fleet.seed));
-    study.Run();
-    std::printf("collected %zu trace records, %zu name records across %zu systems\n",
-                study.trace().records.size(), study.trace().names.size(),
-                study.systems().size());
-  }
-  return study;
 }
 
 }  // namespace ntrace

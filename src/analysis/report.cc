@@ -32,11 +32,6 @@ void ComparisonReport::AddPercent(const std::string& metric, double paper_pct,
   AddRow(metric, FormatF(paper_pct, 0) + "%", FormatPct(measured_fraction), note);
 }
 
-void ComparisonReport::AddValue(const std::string& metric, const std::string& paper_value,
-                                double measured, const std::string& note) {
-  AddRow(metric, paper_value, FormatF(measured), note);
-}
-
 void ComparisonReport::Print() const {
   std::printf("\n=== %s ===\n", title_.c_str());
   if (!coverage_note_.empty()) {

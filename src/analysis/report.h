@@ -24,8 +24,6 @@ class ComparisonReport {
               const std::string& measured_value, const std::string& note = "");
   void AddPercent(const std::string& metric, double paper_pct, double measured_fraction,
                   const std::string& note = "");
-  void AddValue(const std::string& metric, const std::string& paper_value, double measured,
-                const std::string& note = "");
 
   // Confidence annotation for salvaged inputs (DESIGN.md §16): printed
   // under the title, e.g. "coverage: shares computed over 98.6% of emitted

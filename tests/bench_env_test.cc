@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -106,6 +108,65 @@ TEST_F(BenchEnvTest, IntListRejectsTheWholeValueOnOneBadElement) {
 TEST_F(BenchEnvTest, IntListUnsetFallsBackSilently) {
   unsetenv(kVar);
   EXPECT_EQ(EnvIntList(kVar, {1, 2, 4}), (std::vector<int>{1, 2, 4}));
+}
+
+// StandardConfig() reads the real knob names, so these tests set them and
+// put back whatever the caller's environment held. No fleet is run: the
+// checks read the returned config.
+class StandardConfigEnvTest : public testing::Test {
+ protected:
+  static constexpr const char* kKnobs[] = {"NTRACE_DAYS", "NTRACE_THREADS"};
+
+  void SetUp() override {
+    for (const char* knob : kKnobs) {
+      const char* v = std::getenv(knob);
+      saved_.push_back(v == nullptr ? std::nullopt : std::optional<std::string>(v));
+      unsetenv(knob);
+    }
+  }
+  void TearDown() override {
+    for (size_t i = 0; i < saved_.size(); ++i) {
+      if (saved_[i]) {
+        setenv(kKnobs[i], saved_[i]->c_str(), /*overwrite=*/1);
+      } else {
+        unsetenv(kKnobs[i]);
+      }
+    }
+  }
+
+  // StandardConfig() under `knob=value`, plus what it wrote to stderr.
+  static StudyConfig ConfigWith(const char* knob, const char* value, std::string* warning) {
+    setenv(knob, value, /*overwrite=*/1);
+    testing::internal::CaptureStderr();
+    StudyConfig config = StandardConfig();
+    *warning = testing::internal::GetCapturedStderr();
+    return config;
+  }
+
+ private:
+  std::vector<std::optional<std::string>> saved_;
+};
+
+TEST_F(StandardConfigEnvTest, FractionalZeroAndHugeDaysWarnAndRunOneDay) {
+  std::string warning;
+  EXPECT_EQ(ConfigWith("NTRACE_DAYS", "3", &warning).fleet.days, 3);
+  EXPECT_EQ(warning.find("NTRACE_DAYS"), std::string::npos);
+  // "0.5" used to truncate to a 0-day study that exited 0 on boot-time
+  // records alone; a value above INT_MAX was undefined behaviour.
+  for (const char* value : {"0.5", "1.5", "0", "-2", "2147483648", "99999999999999999999"}) {
+    EXPECT_EQ(ConfigWith("NTRACE_DAYS", value, &warning).fleet.days, 1) << value;
+    EXPECT_NE(warning.find("NTRACE_DAYS"), std::string::npos) << value;
+  }
+}
+
+TEST_F(StandardConfigEnvTest, ThreadsOutOfRangeWarnAndUseAllCores) {
+  std::string warning;
+  EXPECT_EQ(ConfigWith("NTRACE_THREADS", "8", &warning).fleet.threads, 8);
+  EXPECT_EQ(warning.find("NTRACE_THREADS"), std::string::npos);
+  for (const char* value : {"4097", "4294967297", "-1", "2.5"}) {
+    EXPECT_EQ(ConfigWith("NTRACE_THREADS", value, &warning).fleet.threads, 0) << value;
+    EXPECT_NE(warning.find("NTRACE_THREADS"), std::string::npos) << value;
+  }
 }
 
 }  // namespace
