@@ -189,14 +189,24 @@ double Ratio(uint64_t num, uint64_t den) {
   return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
 }
 
+struct NetIngestSample {
+  double records_per_sec = 0;
+  double frames_per_write = 0;
+};
+
 // Loopback ingest throughput of the networked collection tier (DESIGN.md
 // §11), isolated from the simulation: one agent streams pre-built
 // shipments through a real TCP socket into a 2-shard CollectionService and
-// the rate is records acknowledged per wall-clock second. Budget: >= 1e6
-// records/sec (PERF_FLOOR.json, "net_ingest_records_per_sec").
-double MeasureNetIngestRate() {
+// the rate is records acknowledged per wall-clock second. Each shipment
+// follows 146 name records, the standard study's mix (seed 1999: about one
+// name per 7 records), so the per-frame cost of the small frames counts.
+// Budgets (PERF_FLOOR.json): >= 1e6 records/sec
+// ("net_ingest_records_per_sec") and >= 8 frames per socket write
+// ("net_ingest_frames_per_write").
+NetIngestSample MeasureNetIngestRate() {
   constexpr uint64_t kShipments = 1024;
   constexpr uint64_t kRecordsPerShipment = 1024;
+  constexpr uint64_t kNamesPerShipment = 146;
 
   CollectionService::Options options;
   options.config.enabled = true;
@@ -205,7 +215,7 @@ double MeasureNetIngestRate() {
   CollectionService service(std::move(options));
   if (!service.Start()) {
     std::fprintf(stderr, "net ingest bench: cannot bind loopback; skipping\n");
-    return 0.0;
+    return {};
   }
 
   NetCollectionConfig agent_config;
@@ -225,8 +235,16 @@ double MeasureNetIngestRate() {
     r.system_id = 1;
   }
 
+  NameRecord name;
+  name.system_id = 1;
+  name.path = "C:/WINNT/Profiles/user/Application Data/Microsoft/Office/Recent/report.doc";
+
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t s = 1; s <= kShipments; ++s) {
+    for (uint64_t n = 0; n < kNamesPerShipment; ++n) {
+      name.file_object = 0x1000 + n;
+      sink.DeliverName(name);
+    }
     ShipmentHeader header;
     header.system_id = 1;
     header.sequence = s;
@@ -243,10 +261,13 @@ double MeasureNetIngestRate() {
     std::fprintf(stderr, "net ingest bench: stream failed (%llu/%llu records)\n",
                  static_cast<unsigned long long>(collected),
                  static_cast<unsigned long long>(total));
-    return 0.0;
+    return {};
   }
   const double seconds = std::chrono::duration<double>(stop - start).count();
-  return seconds > 0 ? static_cast<double>(total) / seconds : 0.0;
+  NetIngestSample sample;
+  sample.records_per_sec = seconds > 0 ? static_cast<double>(total) / seconds : 0.0;
+  sample.frames_per_write = Ratio(client.frames_sent(), client.socket_writes());
+  return sample;
 }
 
 bool WriteTextFile(const char* path, const std::string& text) {
@@ -363,11 +384,17 @@ int main() {
   // TCP socket; best of three so a noisy neighbor on the box cannot fail
   // the floor).
   double net_ingest_rate = 0;
+  double net_frames_per_write = 0;
   for (int i = 0; i < 3; ++i) {
-    net_ingest_rate = std::max(net_ingest_rate, MeasureNetIngestRate());
+    const NetIngestSample s = MeasureNetIngestRate();
+    net_ingest_rate = std::max(net_ingest_rate, s.records_per_sec);
+    // Worst of three: ack timing moves the batch boundaries slightly.
+    net_frames_per_write = i == 0 ? s.frames_per_write
+                                  : std::min(net_frames_per_write, s.frames_per_write);
   }
-  std::printf("net ingest: %.2fM records/s over loopback (budget >= 1.0M)\n",
-              net_ingest_rate / 1e6);
+  std::printf("net ingest: %.2fM records/s over loopback (budget >= 1.0M), "
+              "%.1f frames per socket write (budget >= 8)\n",
+              net_ingest_rate / 1e6, net_frames_per_write);
 
   // Out-of-core columnar leg (DESIGN.md §12): the same sequential fleet with
   // spill-at-completion columnar collection enabled. Workers write each
@@ -463,6 +490,7 @@ int main() {
   std::fprintf(f, "  \"metrics_overhead_pct\": %.3f,\n", metrics_overhead_pct);
   std::fprintf(f, "  \"recovery_overhead_pct\": %.3f,\n", recovery_overhead_pct);
   std::fprintf(f, "  \"net_ingest_records_per_sec\": %.0f,\n", net_ingest_rate);
+  std::fprintf(f, "  \"net_ingest_frames_per_write\": %.2f,\n", net_frames_per_write);
   std::fprintf(f, "  \"records_on_disk\": %llu,\n",
                static_cast<unsigned long long>(records_on_disk));
   std::fprintf(f, "  \"columnar_seconds\": %.4f,\n", columnar_seconds);

@@ -107,6 +107,15 @@ def check_file(path):
             errors += check_finite(path, "net_ingest_records_per_sec", rate)
             if isinstance(rate, (int, float)) and not (isinstance(rate, bool)) and rate <= 0:
                 errors += fail(path, f'"net_ingest_records_per_sec" must be positive, got {rate}')
+        # Frames per socket write on the same leg: a count, not a timing, so
+        # a return to one write per frame shows on any runner speed.
+        if "net_ingest_frames_per_write" not in doc:
+            errors += fail(path, 'missing required key "net_ingest_frames_per_write"')
+        else:
+            ratio = doc["net_ingest_frames_per_write"]
+            errors += check_finite(path, "net_ingest_frames_per_write", ratio)
+            if isinstance(ratio, (int, float)) and not isinstance(ratio, bool) and ratio <= 0:
+                errors += fail(path, f'"net_ingest_frames_per_write" must be positive, got {ratio}')
     # The out-of-core columnar leg (DESIGN.md §12): every record of the
     # sequential run must have landed in the merged extent file, and the
     # process peak RSS is the figure the fixed-memory claim is tracked by.

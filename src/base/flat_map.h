@@ -257,10 +257,13 @@ class FlatMap {
       return;
     }
     if ((used_ + 1) * 4 > states_.size() * 3) {
-      // Grow only when live entries need it; a tombstone-heavy table
-      // rehashes in place instead.
+      // A tombstone-heavy table rehashes in place, but only while live
+      // entries fill at most half of it: then the rehash frees at least a
+      // quarter of the slots, and the next one is that many inserts away.
+      // Above half, an in-place rehash would free only a few slots and a
+      // full cache under insert/evict churn would rehash every few inserts.
       const size_t cap =
-          (size_ + 1) * 4 > states_.size() * 3 ? states_.size() * 2 : states_.size();
+          (size_ + 1) * 2 > states_.size() ? states_.size() * 2 : states_.size();
       Rehash(cap);
     }
   }

@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <thread>
 
 namespace ntrace {
@@ -67,6 +66,7 @@ bool NetAgentClient::WriteAll(const uint8_t* data, size_t size) {
   size_t off = 0;
   while (off < size) {
     const ssize_t n = send(fd_, data + off, size - off, MSG_NOSIGNAL);
+    ++socket_writes_;
     if (n > 0) {
       off += static_cast<size_t>(n);
       continue;
@@ -76,11 +76,42 @@ bool NetAgentClient::WriteAll(const uint8_t* data, size_t size) {
   return true;
 }
 
-void NetAgentClient::FreeAcked() {
-  while (!queue_.empty() && queue_.front().seq < durable_seq_) {
+bool NetAgentClient::WriteFrames(uint64_t first, uint64_t last) {
+  if (first == last) {
+    return true;
+  }
+  const Pending& lo = PendingAt(first);
+  const Pending& hi = PendingAt(last - 1);
+  if (!WriteAll(frames_.data() + (lo.offset - frames_base_), hi.offset + hi.size - lo.offset)) {
+    Disconnect();
+    return false;
+  }
+  return true;
+}
+
+bool NetAgentClient::WriteReorderPocket() {
+  if (!has_reorder_pocket_ || queue_.empty()) {
+    return true;
+  }
+  has_reorder_pocket_ = false;
+  return WriteFrames(reorder_pocket_, reorder_pocket_ + 1);
+}
+
+void NetAgentClient::Release(uint64_t seq) {
+  while (!queue_.empty() && queue_.front().seq < seq) {
     queue_.pop_front();
   }
-  next_to_send_ = std::max(next_to_send_, durable_seq_);
+  if (queue_.empty()) {
+    frames_base_ += frames_.size();
+    frames_.clear();
+    return;
+  }
+  const size_t dead = static_cast<size_t>(queue_.front().offset - frames_base_);
+  if (dead * 2 >= frames_.size()) {
+    // Each byte moves at most once per byte freed before it: amortized O(1).
+    frames_.erase(frames_.begin(), frames_.begin() + static_cast<ptrdiff_t>(dead));
+    frames_base_ += dead;
+  }
 }
 
 bool NetAgentClient::EnsureConnected() {
@@ -182,12 +213,10 @@ bool NetAgentClient::EnsureConnected() {
       // The server is ahead of this run (an earlier invocation's segment):
       // everything up to `resume` is already collected, skip sending it.
       resume_floor_ = std::max(resume_floor_, resume);
-      queue_.clear();
+      Release(next_seq_);
       next_to_send_ = next_seq_;
     } else {
-      while (!queue_.empty() && queue_.front().seq < resume) {
-        queue_.pop_front();
-      }
+      Release(resume);
       next_to_send_ = resume;
     }
     ack_seq_ = std::max(ack_seq_, std::min(resume, next_seq_));
@@ -205,26 +234,37 @@ bool NetAgentClient::TransmitPending() {
   if (queue_.empty()) {
     return true;
   }
-  const uint64_t front = queue_.front().seq;
-  next_to_send_ = std::max(next_to_send_, front);
-  while (next_to_send_ < front + queue_.size()) {
-    Pending& p = queue_[static_cast<size_t>(next_to_send_ - front)];
-    if (busy_pending_) {
-      // Explicit backpressure from the server: one jittered backoff step
-      // before pushing more.
-      busy_pending_ = false;
-      ++busy_pauses_;
-      SleepMs(BackoffMs(0));
+  const uint64_t end = queue_.front().seq + queue_.size();
+  next_to_send_ = std::max(next_to_send_, queue_.front().seq);
+  if (next_to_send_ < end && busy_pending_) {
+    // Explicit backpressure from the server: one jittered backoff step
+    // before pushing more.
+    busy_pending_ = false;
+    ++busy_pauses_;
+    SleepMs(BackoffMs(0));
+  }
+  // Frames [run, next_to_send_) drew no fault and are not yet written; they
+  // are contiguous in frames_ and go out in one write.
+  uint64_t run = next_to_send_;
+  while (next_to_send_ < end) {
+    const Pending& p = PendingAt(next_to_send_);
+    const TransportFaultKind fault = faults_.Draw();
+    if (fault != TransportFaultKind::kNone) {
+      // A faulted frame is handled on its own, after everything before it.
+      if (!WriteFrames(run, next_to_send_)) {
+        return false;
+      }
+      run = next_to_send_;
     }
-    switch (faults_.Draw()) {
+    switch (fault) {
       case TransportFaultKind::kReset:
         Disconnect();
         return false;
       case TransportFaultKind::kPartialWrite: {
         // A prefix reaches the wire, then the connection dies: the server's
         // assembler holds a torn frame until the close discards it.
-        const size_t half = std::max<size_t>(1, p.frame.size() / 2);
-        (void)!WriteAll(p.frame.data(), half);
+        const size_t half = std::max<size_t>(1, p.size / 2);
+        (void)!WriteAll(frames_.data() + (p.offset - frames_base_), half);
         Disconnect();
         return false;
       }
@@ -238,38 +278,31 @@ bool NetAgentClient::TransmitPending() {
         SleepMs(config_.transport_faults.delay_ms);
         break;
       case TransportFaultKind::kDuplicate:
-        if (!WriteAll(p.frame.data(), p.frame.size())) {
-          Disconnect();
+        if (!WriteFrames(p.seq, p.seq + 1)) {
           return false;
         }
-        break;  // Falls through to the normal write: two copies on the wire.
+        break;  // The frame joins the next run: two copies on the wire.
       case TransportFaultKind::kReorder:
         if (!has_reorder_pocket_) {
           // Hold this frame back; it goes out right after its successor.
           has_reorder_pocket_ = true;
           reorder_pocket_ = p.seq;
-          ++next_to_send_;
+          run = ++next_to_send_;
           continue;
         }
         break;
       case TransportFaultKind::kNone:
         break;
     }
-    if (!WriteAll(p.frame.data(), p.frame.size())) {
-      Disconnect();
-      return false;
-    }
     ++next_to_send_;
     if (has_reorder_pocket_ && reorder_pocket_ < p.seq) {
-      const Pending& held = queue_[static_cast<size_t>(reorder_pocket_ - front)];
-      has_reorder_pocket_ = false;
-      if (!WriteAll(held.frame.data(), held.frame.size())) {
-        Disconnect();
+      if (!WriteFrames(run, next_to_send_) || !WriteReorderPocket()) {
         return false;
       }
+      run = next_to_send_;
     }
   }
-  return true;
+  return WriteFrames(run, next_to_send_);
 }
 
 bool NetAgentClient::PumpAcks(bool block) {
@@ -284,7 +317,8 @@ bool NetAgentClient::PumpAcks(bool block) {
           if (DecodeAck(view.payload, view.payload_size, &ack)) {
             ack_seq_ = std::max(ack_seq_, ack.ack_seq);
             durable_seq_ = std::max(durable_seq_, ack.durable_seq);
-            FreeAcked();
+            Release(durable_seq_);
+            next_to_send_ = std::max(next_to_send_, durable_seq_);
             if (ack.status == static_cast<uint8_t>(NetStatus::kBusy)) {
               busy_pending_ = true;
             } else if (ack.status == static_cast<uint8_t>(NetStatus::kShed)) {
@@ -336,7 +370,8 @@ bool NetAgentClient::PumpAcks(bool block) {
   }
 }
 
-bool NetAgentClient::SendInner(uint16_t inner_type, const void* inner, size_t inner_size) {
+bool NetAgentClient::SendInner(uint16_t inner_type, const void* inner, size_t inner_size,
+                               const void* inner_tail, size_t inner_tail_size) {
   if (failed_) {
     return false;
   }
@@ -349,12 +384,22 @@ bool NetAgentClient::SendInner(uint16_t inner_type, const void* inner, size_t in
   }
   Pending p;
   p.seq = seq;
+  p.offset = frames_base_ + frames_.size();
   NetDataHead head;
   head.net_seq = seq;
   head.agent_id = agent_id_;
   head.inner_type = inner_type;
-  EncodeDataFrame(&p.frame, head, inner, inner_size);
-  queue_.push_back(std::move(p));
+  EncodeDataFrame(&frames_, head, inner, inner_size, inner_tail, inner_tail_size);
+  p.size = static_cast<size_t>(frames_base_ + frames_.size() - p.offset);
+  queue_.push_back(p);
+  // Name frames batch up: they wait for a frame carrying records or a
+  // checkpoint, for half the window to be unsent (so acks for one half
+  // return while the other fills), or for a full window.
+  const uint64_t window = static_cast<uint64_t>(config_.window);
+  if (inner_type == static_cast<uint16_t>(SpoolFrameType::kName) &&
+      (next_seq_ - next_to_send_) * 2 < window && next_seq_ - ack_seq_ <= window) {
+    return true;
+  }
 
   for (;;) {
     if (fd_ < 0 && !EnsureConnected()) {
@@ -374,14 +419,8 @@ bool NetAgentClient::SendInner(uint16_t inner_type, const void* inner, size_t in
       return true;
     }
     // Window full: anything held back must go out before we block on acks.
-    if (has_reorder_pocket_) {
-      const uint64_t front = queue_.front().seq;
-      const Pending& held = queue_[static_cast<size_t>(reorder_pocket_ - front)];
-      has_reorder_pocket_ = false;
-      if (!WriteAll(held.frame.data(), held.frame.size())) {
-        Disconnect();
-        continue;
-      }
+    if (!WriteReorderPocket()) {
+      continue;
     }
     if (!PumpAcks(/*block=*/true)) {
       if (++consecutive_failures_ > config_.retry.max_attempts * 8) {
@@ -411,14 +450,8 @@ bool NetAgentClient::FinishStream(uint64_t* records_collected) {
       }
       continue;
     }
-    if (has_reorder_pocket_ && !queue_.empty()) {
-      const uint64_t front = queue_.front().seq;
-      const Pending& held = queue_[static_cast<size_t>(reorder_pocket_ - front)];
-      has_reorder_pocket_ = false;
-      if (!WriteAll(held.frame.data(), held.frame.size())) {
-        Disconnect();
-        continue;
-      }
+    if (!WriteReorderPocket()) {
+      continue;
     }
     if (ack_seq_ < next_seq_) {
       if (!PumpAcks(/*block=*/true)) {
@@ -460,25 +493,15 @@ bool NetAgentClient::FinishStream(uint64_t* records_collected) {
 void NetSink::DeliverShipment(const ShipmentHeader& header, std::vector<TraceRecord> records) {
   staging_.clear();
   SpoolEncodeShipmentHead(&staging_, header);
-  if (!records.empty()) {
-    const size_t at = staging_.size();
-    staging_.resize(at + records.size() * sizeof(TraceRecord));
-    std::memcpy(staging_.data() + at, records.data(), records.size() * sizeof(TraceRecord));
-  }
   client_->SendInner(static_cast<uint16_t>(SpoolFrameType::kShipment), staging_.data(),
-                     staging_.size());
+                     staging_.size(), records.data(), records.size() * sizeof(TraceRecord));
 }
 
 void NetSink::DeliverRecords(std::vector<TraceRecord> records) {
   staging_.clear();
   SpoolEncodeRecordsHead(&staging_, records.size());
-  if (!records.empty()) {
-    const size_t at = staging_.size();
-    staging_.resize(at + records.size() * sizeof(TraceRecord));
-    std::memcpy(staging_.data() + at, records.data(), records.size() * sizeof(TraceRecord));
-  }
   client_->SendInner(static_cast<uint16_t>(SpoolFrameType::kRecords), staging_.data(),
-                     staging_.size());
+                     staging_.size(), records.data(), records.size() * sizeof(TraceRecord));
 }
 
 void NetSink::DeliverName(NameRecord name) {

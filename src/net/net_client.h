@@ -4,11 +4,14 @@
 // connects (with timeout, capped exponential backoff and jitter -- the
 // shipment retry-plan shape applied to the transport), performs the
 // hello/hello-ack handshake, and sends sequenced data frames under a
-// sliding window. Every sent frame is retained until the server's acks mark
-// it durable, so any failure -- transport fault, eviction, server crash --
-// is survived the same way: reconnect, learn the resume point from the
-// hello-ack, resend the suffix. The transport fault injector sits directly
-// on the frame-write path, tearing exactly the things a real network tears.
+// sliding window. Every frame is encoded once, into one contiguous buffer,
+// and retained there until the server's acks mark it durable, so any
+// failure -- transport fault, eviction, server crash -- is survived the
+// same way: reconnect, learn the resume point from the hello-ack, resend
+// the suffix. Frames go out in batches: each run of consecutive frames
+// that draw no transport fault is one socket write. The transport fault
+// injector still draws once per frame, in seq order, and tears exactly the
+// things a real network tears.
 //
 // NetSink adapts the client to the TraceSink interface, so a simulated
 // system streams to the service with no workload-layer changes: inner
@@ -39,10 +42,16 @@ class NetAgentClient {
   NetAgentClient(const NetAgentClient&) = delete;
   NetAgentClient& operator=(const NetAgentClient&) = delete;
 
-  // Sends one sequenced data frame whose payload is `inner` encoded as the
-  // spool payload of `inner_type`. Blocks while the window is full. False
-  // once the client has failed permanently (retries exhausted).
-  bool SendInner(uint16_t inner_type, const void* inner, size_t inner_size);
+  // Queues one sequenced data frame whose payload is the spool payload of
+  // `inner_type`, given as an encoded head plus an optional tail (a
+  // shipment's record array), and encoded straight into the retained-frame
+  // buffer. A frame carrying records or a checkpoint (kShipment, kRecords,
+  // kCompletion) is transmitted at once, with everything queued before it;
+  // a kName frame waits until half the window is unsent or the window is
+  // full. Blocks while the window is full. False once the client has failed
+  // permanently (retries exhausted).
+  bool SendInner(uint16_t inner_type, const void* inner, size_t inner_size,
+                 const void* inner_tail = nullptr, size_t inner_tail_size = 0);
 
   // Drains the window, sends the bye and waits for the bye-ack confirming
   // the stream is sealed server-side. `records_collected` (optional)
@@ -51,28 +60,45 @@ class NetAgentClient {
 
   bool failed() const { return failed_; }
   uint64_t frames_sent() const { return next_seq_; }
+  // send() calls on the agent's sockets: hellos, frame batches, faulted
+  // frames and byes.
+  uint64_t socket_writes() const { return socket_writes_; }
   uint64_t reconnects() const { return reconnects_; }
   uint64_t busy_pauses() const { return busy_pauses_; }
   uint64_t shed_signals() const { return shed_signals_; }
   const TransportFaultInjector& faults() const { return faults_; }
 
  private:
+  // One retained frame: bytes [offset, offset + size) of the stream of
+  // encoded frames, of which frames_ holds the suffix from frames_base_.
   struct Pending {
     uint64_t seq = 0;
-    std::vector<uint8_t> frame;  // Complete wire frame, ready to resend.
+    uint64_t offset = 0;
+    size_t size = 0;
   };
 
   bool EnsureConnected();
   void Disconnect();
-  // Writes queued frames from next_to_send_ up, applying transport faults.
-  // False on a connection failure (caller reconnects).
+  // Writes queued frames from next_to_send_ up, one transport-fault draw
+  // per frame, each fault-free run in one write. False on a connection
+  // failure (caller reconnects).
   bool TransmitPending();
+  // Writes retained frames [first, last) in one write; on failure
+  // disconnects and returns false.
+  bool WriteFrames(uint64_t first, uint64_t last);
+  // Writes the frame held back by an injected reorder, if any.
+  bool WriteReorderPocket();
   // Reads acks. With `block`, waits up to the I/O timeout for at least one
   // frame. False on a connection failure.
   bool PumpAcks(bool block);
   bool WriteAll(const uint8_t* data, size_t size);
   double BackoffMs(int attempt);
-  void FreeAcked();
+  // Drops retained frames below `seq` and compacts the frame buffer once
+  // its dead prefix outweighs the live frames.
+  void Release(uint64_t seq);
+  const Pending& PendingAt(uint64_t seq) const {
+    return queue_[static_cast<size_t>(seq - queue_.front().seq)];
+  }
 
   NetCollectionConfig config_;
   uint16_t port_ = 0;
@@ -84,12 +110,14 @@ class NetAgentClient {
   TransportFaultInjector faults_;
   Rng backoff_rng_;
 
-  std::deque<Pending> queue_;  // Retained frames, ascending seq.
-  uint64_t next_seq_ = 0;      // Seq the next new frame gets.
-  uint64_t next_to_send_ = 0;  // First seq not yet written on this connection.
-  uint64_t ack_seq_ = 0;       // Server's cumulative ack.
-  uint64_t durable_seq_ = 0;   // Server's durable watermark (frames freed below).
-  uint64_t resume_floor_ = 0;  // Frames below this were never ours to send.
+  std::deque<Pending> queue_;    // Retained frames, ascending dense seq.
+  std::vector<uint8_t> frames_;  // Their bytes, back to back.
+  uint64_t frames_base_ = 0;     // Stream offset of frames_[0].
+  uint64_t next_seq_ = 0;        // Seq the next new frame gets.
+  uint64_t next_to_send_ = 0;    // First seq not yet written on this connection.
+  uint64_t ack_seq_ = 0;         // Server's cumulative ack.
+  uint64_t durable_seq_ = 0;     // Server's durable watermark (frames freed below).
+  uint64_t resume_floor_ = 0;    // Frames below this were never ours to send.
   bool has_reorder_pocket_ = false;
   uint64_t reorder_pocket_ = 0;  // Seq held back by an injected reorder.
   bool got_byeack_ = false;
@@ -99,13 +127,16 @@ class NetAgentClient {
   bool connected_once_ = false;
   bool failed_ = false;
   int consecutive_failures_ = 0;
+  uint64_t socket_writes_ = 0;
   uint64_t reconnects_ = 0;
   uint64_t busy_pauses_ = 0;
   uint64_t shed_signals_ = 0;
 };
 
-// TraceSink over a NetAgentClient. The staging buffer is reused across
-// deliveries; encoding matches the spool payload codecs byte for byte.
+// TraceSink over a NetAgentClient. Encoding matches the spool payload
+// codecs byte for byte; the staging buffer holds only the encoded inner
+// head (or a name), reused across deliveries, and record arrays are copied
+// once, straight into the client's frame buffer.
 class NetSink final : public TraceSink {
  public:
   explicit NetSink(NetAgentClient* client) : client_(client) {}

@@ -24,8 +24,10 @@ struct NetCollectionConfig {
   int shards = 2;
 
   // Client-side sliding window: at most this many data frames may be
-  // unacknowledged before the sender blocks on acks. Also the credit the
-  // server advertises to a fresh session.
+  // unacknowledged before the sender blocks on acks. It also bounds a
+  // batch: name frames wait to be written only until half the window is
+  // unsent, and a frame carrying records sends them at once. Also the
+  // credit the server advertises to a fresh session.
   int window = 64;
 
   // Server-side reorder buffer: out-of-order frames parked per session

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/base/crc32c.h"
+
 namespace ntrace {
 
 namespace {
@@ -48,13 +50,22 @@ void EncodeHelloAckFrame(std::vector<uint8_t>* out, const NetHelloAck& ack) {
 }
 
 void EncodeDataFrame(std::vector<uint8_t>* out, const NetDataHead& head, const void* inner,
-                     size_t inner_size) {
-  uint8_t h[kNetDataHeadSize];
-  std::memcpy(h, &head.net_seq, 8);
-  std::memcpy(h + 8, &head.agent_id, 4);
-  std::memcpy(h + 12, &head.inner_type, 2);
-  SpoolAppendFrame(out, static_cast<uint16_t>(NetFrameType::kData), h, sizeof(h), inner,
-                   inner_size);
+                     size_t inner_size, const void* inner_tail, size_t inner_tail_size) {
+  const size_t payload_size = kNetDataHeadSize + inner_size + inner_tail_size;
+  const size_t at = out->size();
+  out->resize(at + kSpoolFrameHeaderSize + payload_size);
+  uint8_t* payload = out->data() + at + kSpoolFrameHeaderSize;
+  std::memcpy(payload, &head.net_seq, 8);
+  std::memcpy(payload + 8, &head.agent_id, 4);
+  std::memcpy(payload + 12, &head.inner_type, 2);
+  if (inner_size > 0) {
+    std::memcpy(payload + kNetDataHeadSize, inner, inner_size);
+  }
+  if (inner_tail_size > 0) {
+    std::memcpy(payload + kNetDataHeadSize + inner_size, inner_tail, inner_tail_size);
+  }
+  SpoolFillFrameHeader(out->data() + at, static_cast<uint16_t>(NetFrameType::kData),
+                       static_cast<uint32_t>(payload_size), Crc32c(payload, payload_size));
 }
 
 void EncodeAckFrame(std::vector<uint8_t>* out, const NetAck& ack) {

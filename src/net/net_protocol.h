@@ -88,12 +88,14 @@ struct NetByeAck {
 };
 
 // Encoders append one complete wire frame (header + payload) to `out`.
-// EncodeDataFrame takes the inner payload as a span so a shipment's record
-// array is CRC'd and copied once, straight from the caller's buffer.
+// EncodeDataFrame takes the inner payload as two spans (an encoded head and
+// an optional tail, e.g. a shipment's record array) so the records are
+// copied once, straight from the caller's buffer into `out`.
 void EncodeHelloFrame(std::vector<uint8_t>* out, const NetHello& hello);
 void EncodeHelloAckFrame(std::vector<uint8_t>* out, const NetHelloAck& ack);
 void EncodeDataFrame(std::vector<uint8_t>* out, const NetDataHead& head, const void* inner,
-                     size_t inner_size);
+                     size_t inner_size, const void* inner_tail = nullptr,
+                     size_t inner_tail_size = 0);
 void EncodeAckFrame(std::vector<uint8_t>* out, const NetAck& ack);
 void EncodeByeFrame(std::vector<uint8_t>* out, const NetBye& bye);
 void EncodeByeAckFrame(std::vector<uint8_t>* out, const NetByeAck& ack);

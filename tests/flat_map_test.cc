@@ -129,6 +129,47 @@ TEST(FlatMap, InsertEraseChurnKeepsCapacityBounded) {
   }
 }
 
+// Insert-one/erase-oldest churn at a fixed live count; returns how many
+// times the capacity changed after the initial fill.
+size_t ChurnCapacityChanges(FlatMap<uint64_t, uint64_t>* m, uint64_t live, size_t* final_capacity) {
+  for (uint64_t k = 0; k < live; ++k) {
+    m->emplace(k, k);
+  }
+  size_t capacity = m->capacity();
+  size_t changes = 0;
+  for (uint64_t k = live; k < 100000; ++k) {
+    m->emplace(k, k);
+    m->erase(k - live);
+    if (m->capacity() != capacity) {
+      capacity = m->capacity();
+      ++changes;
+    }
+  }
+  *final_capacity = capacity;
+  return changes;
+}
+
+TEST(FlatMap, ChurnAboveHalfLoadGrowsOnceThenHolds) {
+  // 90 live entries in 128 slots (70%): an in-place rehash would free only
+  // six slots, so churn would rehash the whole table every few inserts.
+  // The table grows once instead and then holds its capacity.
+  FlatMap<uint64_t, uint64_t> m;
+  size_t capacity = 0;
+  const size_t changes = ChurnCapacityChanges(&m, 90, &capacity);
+  EXPECT_EQ(changes, 1u);
+  EXPECT_EQ(capacity, 256u);
+  EXPECT_EQ(m.size(), 90u);
+}
+
+TEST(FlatMap, ChurnBelowHalfLoadNeverGrows) {
+  FlatMap<uint64_t, uint64_t> m;
+  size_t capacity = 0;
+  const size_t changes = ChurnCapacityChanges(&m, 60, &capacity);
+  EXPECT_EQ(changes, 0u);
+  EXPECT_EQ(capacity, 128u);
+  EXPECT_EQ(m.size(), 60u);
+}
+
 TEST(FlatMap, ClearReleasesAndReusesStorage) {
   FlatMap<int, std::unique_ptr<int>> m;
   for (int k = 0; k < 100; ++k) {

@@ -392,6 +392,86 @@ TEST(NetClient, CleanStreamDeliversEverythingOnce) {
   EXPECT_EQ(session.net_duplicate_frames, 0u);
 }
 
+TEST(NetClient, NameFramesBatchIntoFewSocketWrites) {
+  CollectionService::Options options;
+  options.config = FastRetryConfig();
+  options.config_fingerprint = 0x57;
+  CollectionService service(std::move(options));
+  ASSERT_TRUE(service.Start());
+
+  NetCollectionConfig agent_config = FastRetryConfig();
+  agent_config.window = 64;
+  NetAgentClient client(agent_config, service.port(), 13, 0x57);
+  NetSink sink(&client);
+  for (uint64_t i = 0; i < 40; ++i) {
+    NameRecord name;
+    name.file_object = 0x3000 + i;
+    name.system_id = 13;
+    name.path = "C:/batch/" + std::to_string(i) + ".dat";
+    sink.DeliverName(name);
+  }
+  sink.DeliverShipment({13, 1, 1, 10}, MakeRecords(13, 0, 10));
+  // The hello, the first 32 names at half the window, then the last 8
+  // names together with the shipment.
+  EXPECT_EQ(client.frames_sent(), 41u);
+  EXPECT_LE(client.socket_writes(), 3u);
+
+  uint64_t collected = 0;
+  ASSERT_TRUE(client.FinishStream(&collected));
+  EXPECT_EQ(collected, 10u);
+  service.Stop();
+  NetSessionResult session;
+  ASSERT_TRUE(service.TakeSession(13, &session));
+  EXPECT_TRUE(session.sealed);
+  EXPECT_EQ(session.frames_delivered, 41u);
+  EXPECT_EQ(session.server.set().records.size(), 10u);
+  ASSERT_EQ(session.server.set().names.size(), 40u);
+  for (uint64_t i = 0; i < 40; ++i) {
+    EXPECT_EQ(session.server.set().names[i].path, "C:/batch/" + std::to_string(i) + ".dat");
+  }
+}
+
+TEST(NetClient, BatchingKeepsOneFaultDrawPerFrame) {
+  CollectionService::Options options;
+  options.config = FastRetryConfig();
+  options.config_fingerprint = 0x58;
+  CollectionService service(std::move(options));
+  ASSERT_TRUE(service.Start());
+
+  // Delays reorder nothing and lose nothing, so no frame is ever resent
+  // and the draws map one to one onto frames.
+  NetCollectionConfig agent_config = FastRetryConfig();
+  agent_config.transport_faults.delay_probability = 0.2;
+  agent_config.transport_faults.delay_ms = 0.05;
+  NetAgentClient client(agent_config, service.port(), 14, 0x58);
+  NetSink sink(&client);
+  for (uint64_t s = 1; s <= 10; ++s) {
+    for (uint64_t i = 0; i < 7; ++i) {
+      NameRecord name;
+      name.file_object = 0x4000 + s * 10 + i;
+      name.system_id = 14;
+      name.path = "C:/delay/" + std::to_string(s * 10 + i);
+      sink.DeliverName(name);
+    }
+    sink.DeliverShipment({14, s, 1, 3}, MakeRecords(14, (s - 1) * 3, 3));
+  }
+  uint64_t collected = 0;
+  ASSERT_TRUE(client.FinishStream(&collected));
+  EXPECT_EQ(collected, 30u);
+  EXPECT_EQ(client.reconnects(), 0u);
+  EXPECT_EQ(client.frames_sent(), 80u);
+  EXPECT_EQ(client.faults().draws(), client.frames_sent());
+
+  TransportFaultInjector reference(agent_config.transport_faults, agent_config.fault_seed, 14);
+  for (uint64_t i = 0; i < client.frames_sent(); ++i) {
+    reference.Draw();
+  }
+  EXPECT_GT(reference.injected(TransportFaultKind::kDelay), 0u);
+  EXPECT_EQ(client.faults().injected(TransportFaultKind::kDelay),
+            reference.injected(TransportFaultKind::kDelay));
+  service.Stop();
+}
+
 TEST(NetClient, StallTripsEvictionAndReconnectResumes) {
   CollectionService::Options options;
   options.config = FastRetryConfig();

@@ -10,6 +10,7 @@
 //    binary with NTRACE_NO_SIMD=1, pinning the dispatch route itself).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstring>
@@ -26,6 +27,12 @@
 
 namespace ntrace {
 namespace {
+
+// Scratch file prefix unique to this process: ctest runs the suite both
+// test by test and whole (scan_parity_test_no_simd), possibly at once.
+std::string ScratchPath(const char* stem) {
+  return testing::TempDir() + "/" + stem + std::to_string(getpid()) + "_";
+}
 
 void ExpectCdfEqual(const WeightedCdf& a, const WeightedCdf& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
@@ -153,8 +160,8 @@ TEST(ScanParity, ColumnarFleetModeMatchesRowModeAcrossThreads) {
     for (const int threads : {1, 2, 8}) {
       FleetConfig config = faulty ? FaultyConfig(7) : SmallConfig(7);
       config.threads = threads;
-      const std::string dir = testing::TempDir() + "/scan_parity_columnar_" +
-                              (faulty ? "f" : "c") + std::to_string(threads);
+      const std::string dir = ScratchPath("scan_parity_columnar_") + (faulty ? "f" : "c") +
+                              std::to_string(threads);
       std::filesystem::remove_all(dir);
       config.columnar_dir = dir;
       config.spill_extent_records = 512;  // Small extents: many merge refills.
@@ -197,10 +204,8 @@ TEST(ScanParity, CompressedStoreScanMatchesUncompressedStore) {
       ASSERT_TRUE(writer.Seal());
       writer.Close();
     };
-    const std::string cpath =
-        testing::TempDir() + "/scan_parity_store_c" + (faulty ? "_f" : "") + ".ntx";
-    const std::string rpath =
-        testing::TempDir() + "/scan_parity_store_r" + (faulty ? "_f" : "") + ".ntx";
+    const std::string cpath = ScratchPath("scan_parity_store_c") + (faulty ? "_f" : "") + ".ntx";
+    const std::string rpath = ScratchPath("scan_parity_store_r") + (faulty ? "_f" : "") + ".ntx";
     write_store(cpath, true);
     write_store(rpath, false);
     EXPECT_LT(std::filesystem::file_size(cpath), std::filesystem::file_size(rpath));
